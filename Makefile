@@ -46,9 +46,8 @@ bench-adaptive:
 
 # Streaming shuffle data-plane suite (what the CI shuffle job runs): a
 # real in-process 8-worker cluster runs the repartition and GBJ cases
-# under streaming / no-compress / legacy-blob wire modes, writing wall
-# clock, bytes-on-wire raw vs compressed, and chunk/pool counters to
-# BENCH_shuffle.json.
+# over the chunk-streaming wire, writing wall clock, wire vs bucket
+# bytes, and chunk/pool counters to BENCH_shuffle.json.
 bench-shuffle:
 	$(GO) run ./cmd/sacbench -fig shuffle -workers 8 -json BENCH_shuffle.json
 

@@ -12,7 +12,7 @@
 //	sacbench -fig adaptive -json BENCH_adaptive.json
 //	                              # skewed adaptive-vs-static suite + JSON artifact
 //	sacbench -fig shuffle -workers 8 -json BENCH_shuffle.json
-//	                              # streaming shuffle wire modes on a real in-process cluster
+//	                              # shuffle wire bytes, chunks and pool reuse on a real in-process cluster
 //	sacbench -fig 4b -json out.json  # machine-readable per-stage doc for any figure
 //	sacbench -trace out.json      # Chrome trace of a GBJ multiply (Perfetto)
 //	sacbench -fig 4b -mem 64MiB   # out-of-core run: spill columns appear in the tables

@@ -8,12 +8,14 @@
 //
 // Queries arrive as data (the SAC DSL source plus generator
 // parameters), never as code, so any sacworker binary can serve any
-// driver built from the same source tree. The worker retries its
-// initial driver connection with backoff, so workers may be started
-// before the driver is listening.
+// driver built from the same source tree; the driver refuses a worker
+// whose wire protocol version differs, and the worker then exits. The
+// worker retries its initial driver connection with backoff, so
+// workers may be started before the driver is listening.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -79,7 +81,8 @@ func main() {
 		MemoryBudget: budget,
 	}
 	// The driver may not be up yet (CI starts both concurrently);
-	// retry registration with backoff until -connect-wait elapses.
+	// retry registration with backoff until -connect-wait elapses. A
+	// refusal (protocol version mismatch) is final.
 	var w *cluster.Worker
 	var err error
 	deadline := time.Now().Add(*connectWait)
@@ -87,6 +90,10 @@ func main() {
 		w, err = cluster.StartWorker(cfg)
 		if err == nil {
 			break
+		}
+		if errors.Is(err, cluster.ErrRefused) {
+			fmt.Fprintf(os.Stderr, "sacworker: %v\n", err)
+			os.Exit(1)
 		}
 		if time.Now().After(deadline) {
 			fmt.Fprintf(os.Stderr, "sacworker: giving up on driver %s: %v\n", *driver, err)

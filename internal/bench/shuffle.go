@@ -1,10 +1,8 @@
 // Shuffle data-plane benchmark: a real in-process cluster (driver + N
 // workers over TCP loopback) runs shuffle-heavy queries — a
 // terasort-style repartition/aggregation and a large group-by-join
-// matmul — under three wire modes: the default chunk-streaming path
-// with compression, streaming with compression off, and the PR 5
-// whole-blob consumption path. Each run reports wall clock, bytes on
-// the wire (post-compression) vs the raw decompressed equivalent,
+// matmul — over the chunk-streaming wire. Each case reports wall
+// clock, chunk frame bytes on the wire vs the bucket bytes they carry,
 // chunk and connection-pool counters, and a byte-identity check
 // against the local reference (sacbench -fig shuffle -json writes the
 // suite as BENCH_shuffle.json).
@@ -39,12 +37,13 @@ func DefaultShuffleConfig() ShuffleConfig {
 	return ShuffleConfig{Workers: 3, N: 160, Tile: 16}
 }
 
-// ShuffleRun is one query under one wire mode.
-type ShuffleRun struct {
-	Mode    string  `json:"mode"`
+// ShuffleCase is one query's run on the cluster.
+type ShuffleCase struct {
+	Name    string  `json:"name"`
+	Query   string  `json:"query"`
 	Seconds float64 `json:"seconds"`
-	// WireBytes is what actually crossed TCP (post-compression, plus
-	// chunk framing); WireRawBytes is the decompressed equivalent.
+	// WireBytes is what crossed TCP in chunk frames (bucket bytes plus
+	// each chunk's length header); WireRawBytes the bucket bytes alone.
 	WireBytes    int64 `json:"wire_bytes"`
 	WireRawBytes int64 `json:"wire_raw_bytes"`
 	// Chunks / pool counters expose the streaming data plane at work.
@@ -53,21 +52,9 @@ type ShuffleRun struct {
 	ConnPoolMisses int64 `json:"conn_pool_misses"`
 	FetchRetries   int64 `json:"fetch_retries"`
 	ShuffledBytes  int64 `json:"shuffled_bytes"`
-	// ResultMatchesLocal asserts the mode is an escape hatch, not a
-	// different answer.
+	// ResultMatchesLocal asserts the cluster returned the local
+	// backend's exact bytes.
 	ResultMatchesLocal bool `json:"result_matches_local"`
-}
-
-// ShuffleCase is one query across all wire modes.
-type ShuffleCase struct {
-	Name  string       `json:"name"`
-	Query string       `json:"query"`
-	Modes []ShuffleRun `json:"modes"`
-	// SpeedupVsLegacy is legacy-blob seconds / streaming seconds.
-	SpeedupVsLegacy float64 `json:"speedup_vs_legacy"`
-	// CompressionRatio is streaming raw bytes / wire bytes (1.0 = no
-	// savings).
-	CompressionRatio float64 `json:"compression_ratio"`
 }
 
 // ShuffleSuite is the BENCH_shuffle.json document.
@@ -79,16 +66,6 @@ type ShuffleSuite struct {
 	Cases      []ShuffleCase `json:"cases"`
 }
 
-// shuffleModes are the A/B wire modes, keyed to QueryParams flags.
-var shuffleModes = []struct {
-	name               string
-	legacy, noCompress bool
-}{
-	{"streaming", false, false},
-	{"no-compress", false, true},
-	{"legacy-blob", true, false},
-}
-
 // shuffleQueries are the two shuffle-heavy workloads: a terasort-style
 // repartition + aggregation (every element re-keyed by row, then
 // reduced), and the large SUMMA group-by-join multiply.
@@ -97,8 +74,8 @@ var shuffleQueries = []struct{ name, src string }{
 	{"gbj-matmul", "tiled(n,n)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, kk == k, let v = a*b, group by (i,j) ]"},
 }
 
-// Shuffle starts a fresh cluster and runs every case under every wire
-// mode, one ClusterSession per run so the counters isolate.
+// Shuffle starts a fresh cluster and runs every case, one
+// ClusterSession per case so the counters isolate.
 func Shuffle(cfg ShuffleConfig) (ShuffleSuite, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 3
@@ -152,46 +129,27 @@ func Shuffle(cfg ShuffleConfig) (ShuffleSuite, error) {
 		if err != nil {
 			return suite, fmt.Errorf("bench: local reference %s: %w", q.name, err)
 		}
-		c := ShuffleCase{Name: q.name, Query: q.src}
-		var streamSec, legacySec float64
-		for _, m := range shuffleModes {
-			p := base
-			p.LegacyBlob = m.legacy
-			p.NoCompress = m.noCompress
-			cs := jobs.NewClusterSession(d, p, 5*time.Minute)
-			start := time.Now()
-			got, _, err := cs.Query(q.src)
-			if err != nil {
-				return suite, fmt.Errorf("bench: %s/%s: %w", q.name, m.name, err)
-			}
-			sec := time.Since(start).Seconds()
-			snap := cs.Metrics()
-			c.Modes = append(c.Modes, ShuffleRun{
-				Mode:               m.name,
-				Seconds:            sec,
-				WireBytes:          snap.WireFetchedBytes,
-				WireRawBytes:       snap.WireRawBytes,
-				Chunks:             snap.WireChunks,
-				ConnPoolHits:       snap.ConnPoolHits,
-				ConnPoolMisses:     snap.ConnPoolMisses,
-				FetchRetries:       snap.FetchRetries,
-				ShuffledBytes:      snap.ShuffledBytes,
-				ResultMatchesLocal: bytes.Equal(got, want),
-			})
-			switch m.name {
-			case "streaming":
-				streamSec = sec
-				if snap.WireFetchedBytes > 0 {
-					c.CompressionRatio = float64(snap.WireRawBytes) / float64(snap.WireFetchedBytes)
-				}
-			case "legacy-blob":
-				legacySec = sec
-			}
+		cs := jobs.NewClusterSession(d, base, 5*time.Minute)
+		start := time.Now()
+		got, _, err := cs.Query(q.src)
+		if err != nil {
+			return suite, fmt.Errorf("bench: %s: %w", q.name, err)
 		}
-		if streamSec > 0 {
-			c.SpeedupVsLegacy = legacySec / streamSec
-		}
-		suite.Cases = append(suite.Cases, c)
+		sec := time.Since(start).Seconds()
+		snap := cs.Metrics()
+		suite.Cases = append(suite.Cases, ShuffleCase{
+			Name:               q.name,
+			Query:              q.src,
+			Seconds:            sec,
+			WireBytes:          snap.WireFetchedBytes,
+			WireRawBytes:       snap.WireRawBytes,
+			Chunks:             snap.WireChunks,
+			ConnPoolHits:       snap.ConnPoolHits,
+			ConnPoolMisses:     snap.ConnPoolMisses,
+			FetchRetries:       snap.FetchRetries,
+			ShuffledBytes:      snap.ShuffledBytes,
+			ResultMatchesLocal: bytes.Equal(got, want),
+		})
 	}
 	return suite, nil
 }
@@ -200,16 +158,12 @@ func Shuffle(cfg ShuffleConfig) (ShuffleSuite, error) {
 func (s ShuffleSuite) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Shuffle data plane — %d workers, n=%d, tile=%d\n", s.Workers, s.N, s.Tile)
-	fmt.Fprintf(&b, "%-22s %-12s %10s %12s %12s %8s %7s %7s %7s %6s\n",
-		"case", "mode", "seconds", "wire", "raw", "chunks", "hits", "misses", "retry", "exact")
+	fmt.Fprintf(&b, "%-22s %10s %12s %12s %8s %7s %7s %7s %6s\n",
+		"case", "seconds", "wire", "raw", "chunks", "hits", "misses", "retry", "exact")
 	for _, c := range s.Cases {
-		for _, m := range c.Modes {
-			fmt.Fprintf(&b, "%-22s %-12s %10.3f %12s %12s %8d %7d %7d %7d %6v\n",
-				c.Name, m.Mode, m.Seconds, sizeOf(m.WireBytes), sizeOf(m.WireRawBytes),
-				m.Chunks, m.ConnPoolHits, m.ConnPoolMisses, m.FetchRetries, m.ResultMatchesLocal)
-		}
-		fmt.Fprintf(&b, "%-22s -> %.2fx compression, %.2fx vs whole-blob\n",
-			c.Name, c.CompressionRatio, c.SpeedupVsLegacy)
+		fmt.Fprintf(&b, "%-22s %10.3f %12s %12s %8d %7d %7d %7d %6v\n",
+			c.Name, c.Seconds, sizeOf(c.WireBytes), sizeOf(c.WireRawBytes),
+			c.Chunks, c.ConnPoolHits, c.ConnPoolMisses, c.FetchRetries, c.ResultMatchesLocal)
 	}
 	return b.String()
 }

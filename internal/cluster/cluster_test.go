@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -39,7 +42,7 @@ func init() {
 		}
 		var out bytes.Buffer
 		for r := 0; r < env.World; r++ {
-			blob, err := env.Exchange.Fetch(r, fmt.Sprintf("tok.%d", r))
+			blob, err := fetchAll(env.Exchange, r, fmt.Sprintf("tok.%d", r))
 			if err != nil {
 				return nil, Report{}, err
 			}
@@ -206,7 +209,7 @@ func TestResultMismatchDetected(t *testing.T) {
 }
 
 func TestProtoRoundTrips(t *testing.T) {
-	reg := registerMsg{ID: "w1", DataAddr: "127.0.0.1:999", Parallelism: 4, MemBudget: 1 << 28}
+	reg := registerMsg{ID: "w1", DataAddr: "127.0.0.1:999", Parallelism: 4, MemBudget: 1 << 28, Proto: protoVersion}
 	if got, err := decodeRegister(reg.encode()); err != nil || got != reg {
 		t.Fatalf("register: %+v %v", got, err)
 	}
@@ -256,6 +259,73 @@ func TestProtoRoundTrips(t *testing.T) {
 				_, _ = decodeRegister(blob[:cut])
 			}()
 		}
+	}
+}
+
+// TestRegisterVersionMismatchRefused: hand-built register frames from
+// workers on another wire protocol version — one from a binary that
+// predates the version field, one from a newer protocol — are refused
+// with an error naming both versions, and no rank joins.
+func TestRegisterVersionMismatchRefused(t *testing.T) {
+	d, err := NewDriver(DriverConfig{})
+	if err != nil {
+		t.Fatalf("driver: %v", err)
+	}
+	t.Cleanup(d.Close)
+	var old wireBuf // the pre-version hello: ID, data addr, parallelism, budget
+	old.str("old")
+	old.str("127.0.0.1:1")
+	old.i64(1)
+	old.i64(0)
+	newer := registerMsg{ID: "newer", DataAddr: "127.0.0.1:2", Parallelism: 1, Proto: protoVersion + 1}
+	for v, frame := range map[int64][]byte{0: old.b, protoVersion + 1: newer.encode()} {
+		conn, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, msgRegister, frame); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(bufio.NewReader(conn))
+		conn.Close()
+		if err != nil || typ != msgRefused {
+			t.Fatalf("version %d: reply type=%d err=%v, want a refusal", v, typ, err)
+		}
+		for _, want := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("version %d", protoVersion)} {
+			if !strings.Contains(string(payload), want) {
+				t.Fatalf("refusal %q does not name %q", payload, want)
+			}
+		}
+	}
+	if err := d.WaitForWorkers(1, 100*time.Millisecond); err == nil {
+		t.Fatal("a refused worker joined the cluster")
+	}
+	if ws := d.Workers(); len(ws) != 0 {
+		t.Fatalf("refused workers listed: %+v", ws)
+	}
+}
+
+// TestStartWorkerSurfacesRefusal: a worker turned away at registration
+// returns an error wrapping ErrRefused, so a retrying caller can stop.
+func TestStartWorkerSurfacesRefusal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := readFrame(bufio.NewReader(conn)); err == nil {
+			_ = writeFrame(conn, msgRefused, []byte("driver speaks version 99"))
+		}
+	}()
+	_, err = StartWorker(WorkerConfig{ID: "w", DriverAddr: ln.Addr().String()})
+	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "version 99") {
+		t.Fatalf("StartWorker error = %v, want ErrRefused with the driver's reason", err)
 	}
 }
 

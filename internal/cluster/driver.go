@@ -169,6 +169,13 @@ func (d *Driver) handleWorker(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	if reg.Proto != protoVersion {
+		why := fmt.Sprintf("worker %s speaks wire protocol version %d, driver speaks version %d; run matching binaries",
+			reg.ID, reg.Proto, protoVersion)
+		_ = writeFrame(conn, msgRefused, []byte(why)) // best effort: the worker is turned away either way
+		conn.Close()
+		return
+	}
 	ws := &workerState{
 		id:          reg.ID,
 		dataAddr:    reg.DataAddr,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/memory"
 	"repro/internal/obs"
-	"repro/internal/spill"
 )
 
 // Process-wide wire gauges: shuffle traffic in and out of this worker,
@@ -21,9 +21,9 @@ import (
 // the Report so the driver can attribute traffic to ranks.
 var (
 	obsWireFetchedBytes = obs.Default.Counter("sac_cluster_wire_fetched_bytes_total",
-		"shuffle bytes pulled over TCP from peer data servers (post-compression)")
+		"shuffle chunk frame bytes pulled over TCP from peer data servers")
 	obsWireRawBytes = obs.Default.Counter("sac_cluster_wire_raw_bytes_total",
-		"decompressed shuffle bytes represented by fetched chunks")
+		"shuffle bucket bytes carried by fetched chunks")
 	obsWireServedBytes = obs.Default.Counter("sac_cluster_wire_served_bytes_total",
 		"shuffle bytes served over TCP to peer workers")
 	obsChunksFetched = obs.Default.Counter("sac_cluster_chunks_fetched_total",
@@ -39,19 +39,13 @@ var (
 )
 
 const (
-	// shuffleChunkSize is the raw-byte chunking granularity of published
+	// shuffleChunkSize is the chunking granularity of published
 	// buckets. It bounds both sides of a streaming fetch: the server
 	// frames at most one chunk at a time and the client holds at most
-	// one decoded chunk, so a 1 GiB bucket costs ~256 KiB of per-fetch
-	// memory, not 1 GiB.
+	// one chunk, so a 1 GiB bucket costs ~256 KiB of per-fetch memory,
+	// not 1 GiB. Boundaries are fixed, so a stream resumed at chunk i
+	// is byte-identical to an uninterrupted one.
 	shuffleChunkSize = 256 << 10
-
-	// compressSavingsDenom gates the per-bucket compression heuristic:
-	// the first chunk is compressed as a probe, and the whole bucket is
-	// stored compressed only when the probe saves at least
-	// 1/compressSavingsDenom of its raw size. Incompressible payloads
-	// (already-random doubles) ship raw and skip the decompress cost.
-	compressSavingsDenom = 8
 
 	// maxIdleConns bounds the per-peer data-connection pool.
 	maxIdleConns = 3
@@ -79,69 +73,16 @@ func retryableFetch(err error) bool {
 		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
-// chunk is one stored piece of a published bucket. data is either
-// rawLen raw bytes or a compressed block that inflates to rawLen.
-type chunk struct {
-	flags  byte
-	rawLen int
-	data   []byte
+// chunkCount is the number of shuffleChunkSize pieces a bucket is
+// served as.
+func chunkCount(bucket []byte) int {
+	return (len(bucket) + shuffleChunkSize - 1) / shuffleChunkSize
 }
 
-// bucket is a published shuffle payload, chunked (and possibly
-// compressed) once at publish time so every fetch — streaming or
-// legacy — serves the same bytes without re-encoding.
-type bucket struct {
-	chunks   []chunk
-	rawBytes int64
-}
-
-// makeBucket chunks blob and applies the per-bucket compression
-// heuristic: probe the first chunk, compress the rest only if the
-// probe pays.
-func makeBucket(blob []byte, compress bool) bucket {
-	b := bucket{rawBytes: int64(len(blob))}
-	if len(blob) == 0 {
-		return b
-	}
-	n := (len(blob) + shuffleChunkSize - 1) / shuffleChunkSize
-	b.chunks = make([]chunk, 0, n)
-	for off := 0; off < len(blob); off += shuffleChunkSize {
-		end := off + shuffleChunkSize
-		if end > len(blob) {
-			end = len(blob)
-		}
-		raw := blob[off:end]
-		c := chunk{rawLen: len(raw), data: raw}
-		if compress {
-			if packed := spill.CompressBlock(raw); len(packed) <= len(raw)-len(raw)/compressSavingsDenom {
-				c.flags, c.data = chunkFlagCompressed, packed
-			} else if off == 0 {
-				// The probe chunk didn't pay; assume the rest of the
-				// bucket is equally incompressible and stop trying.
-				compress = false
-			}
-		}
-		b.chunks = append(b.chunks, c)
-	}
-	return b
-}
-
-// assemble reconstructs the raw blob — the legacy whole-blob wire path
-// and local self-fetches still see exactly what was published.
-func (b bucket) assemble() ([]byte, error) {
-	out := make([]byte, 0, b.rawBytes)
-	for i, c := range b.chunks {
-		if c.flags&chunkFlagCompressed == 0 {
-			out = append(out, c.data...)
-			continue
-		}
-		raw, err := spill.DecompressBlock(c.data, c.rawLen)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: stored chunk %d corrupt: %w", i, err)
-		}
-		out = append(out, raw...)
-	}
-	return out, nil
+// chunkAt returns piece i of a bucket.
+func chunkAt(bucket []byte, i int) []byte {
+	off := i * shuffleChunkSize
+	return bucket[off:min(off+shuffleChunkSize, len(bucket))]
 }
 
 // jobStore holds one job's locally-produced shuffle buckets. Fetches
@@ -152,17 +93,17 @@ func (b bucket) assemble() ([]byte, error) {
 type jobStore struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	buckets map[string]bucket
+	buckets map[string][]byte
 	failed  bool
 }
 
 func newJobStore() *jobStore {
-	s := &jobStore{buckets: make(map[string]bucket)}
+	s := &jobStore{buckets: make(map[string][]byte)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-func (s *jobStore) put(key string, b bucket) {
+func (s *jobStore) put(key string, b []byte) {
 	s.mu.Lock()
 	s.buckets[key] = b
 	s.cond.Broadcast()
@@ -170,7 +111,7 @@ func (s *jobStore) put(key string, b bucket) {
 }
 
 // waitGet blocks until key is present or the store failed.
-func (s *jobStore) waitGet(key string) (bucket, error) {
+func (s *jobStore) waitGet(key string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -178,7 +119,7 @@ func (s *jobStore) waitGet(key string) (bucket, error) {
 			return b, nil
 		}
 		if s.failed {
-			return bucket{}, fmt.Errorf("cluster: job failed on this worker")
+			return nil, fmt.Errorf("cluster: job failed on this worker")
 		}
 		s.cond.Wait()
 	}
@@ -186,7 +127,7 @@ func (s *jobStore) waitGet(key string) (bucket, error) {
 
 // get is the non-blocking lookup used for self-fetches, which are
 // always published before they are read.
-func (s *jobStore) get(key string) (bucket, bool) {
+func (s *jobStore) get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[key]
@@ -246,12 +187,12 @@ func (p *connPool) drain() {
 	}
 }
 
-// Exchange is one rank's view of a job's shuffle fabric. It satisfies
+// Exchange is one rank's view of a job's shuffle fabric and implements
 // dataflow's Transport interface structurally: Publish writes to the
 // local store (this worker's data server hands the bucket to whoever
-// asks), Fetch pulls a bucket from the owning rank's data server, and
-// FetchReader streams it chunk-by-chunk so consumers can pipeline
-// decode against the network (dataflow's StreamTransport).
+// asks), and FetchReader streams a bucket from the owning rank's data
+// server chunk-by-chunk so consumers can pipeline decode against the
+// network.
 type Exchange struct {
 	jobID int64
 	rank  int
@@ -267,17 +208,15 @@ type Exchange struct {
 	dialBackoff   time.Duration
 	streamRetries int
 
-	compress atomic.Bool                    // compress published buckets (default on)
-	mem      atomic.Pointer[memory.Manager] // bounds per-fetch chunk buffers
+	mem atomic.Pointer[memory.Manager] // bounds per-fetch chunk buffers
 
-	dead   []atomic.Bool // ranks this exchange has given up on
-	legacy []atomic.Bool // ranks that closed a msgFetchStream: whole-blob only
-	pools  []connPool    // idle data connections, indexed by rank
+	dead  []atomic.Bool // ranks this exchange has given up on
+	pools []connPool    // idle data connections, indexed by rank
 
 	// Wire counters for this job's traffic through this rank, folded
-	// into the rank's Report. wireFetchedBytes counts bytes actually
-	// pulled over TCP (post-compression); wireRawBytes what they
-	// decompress to.
+	// into the rank's Report. wireFetchedBytes counts chunk frame
+	// payloads pulled over TCP; wireRawBytes the bucket bytes they
+	// carry.
 	wireFetchedBytes atomic.Int64
 	wireRawBytes     atomic.Int64
 	chunksFetched    atomic.Int64
@@ -299,7 +238,7 @@ func (e *Exchange) fillReport(r *Report) {
 }
 
 func newExchange(jobID int64, rank int, peers []string, store *jobStore) *Exchange {
-	e := &Exchange{
+	return &Exchange{
 		jobID:         jobID,
 		rank:          rank,
 		peers:         peers,
@@ -309,30 +248,22 @@ func newExchange(jobID int64, rank int, peers []string, store *jobStore) *Exchan
 		dialBackoff:   50 * time.Millisecond,
 		streamRetries: 2,
 		dead:          make([]atomic.Bool, len(peers)),
-		legacy:        make([]atomic.Bool, len(peers)),
 		pools:         make([]connPool, len(peers)),
 	}
-	e.compress.Store(true)
-	return e
 }
 
 func (e *Exchange) Rank() int  { return e.rank }
 func (e *Exchange) World() int { return len(e.peers) }
-
-// SetCompression toggles chunk compression for buckets published
-// through this exchange (on by default). Fetching always handles both.
-func (e *Exchange) SetCompression(on bool) { e.compress.Store(on) }
 
 // SetMemory installs the budget manager that bounds per-fetch chunk
 // buffers; dataflow calls this structurally when the transport is
 // wired into a Context.
 func (e *Exchange) SetMemory(m *memory.Manager) { e.mem.Store(m) }
 
-// Publish stores a locally-produced bucket for peers to fetch. The
-// bucket is chunked — and, when it pays, compressed — exactly once
-// here; every subsequent fetch serves the stored chunks.
+// Publish stores a locally-produced bucket for peers to fetch. Every
+// fetch serves the stored bytes in fixed chunks; nothing is re-encoded.
 func (e *Exchange) Publish(key string, blob []byte) error {
-	e.store.put(key, makeBucket(blob, e.compress.Load()))
+	e.store.put(key, blob)
 	return nil
 }
 
@@ -343,33 +274,15 @@ func (e *Exchange) markDead(rank int) {
 	e.pools[rank].drain()
 }
 
-// Fetch returns the bucket key owned by rank as one blob. Self-fetches
-// hit the local store directly; remote fetches stream from the peer's
-// data server. Any returned error means the caller should recompute
-// the bucket from lineage — but only FATAL errors (FetchGone, dial or
-// retry exhaustion) mark the rank dead; a fetch that failed after
-// transient errors was already retried within budget.
-func (e *Exchange) Fetch(rank int, key string) ([]byte, error) {
-	rc, err := e.FetchReader(rank, key)
-	if err != nil {
-		return nil, err
-	}
-	blob, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		return nil, err
-	}
-	return blob, nil
-}
-
-// FetchReader streams the bucket key owned by rank. The reader yields
-// the raw (decompressed) bucket bytes incrementally as chunks arrive,
-// holding at most one chunk — reserved against the memory budget — at
-// a time. Transient stream errors are retried transparently, resuming
-// from the last delivered chunk. If the reader fails with a
-// transport-level error (peer died, bucket gone), its TransportErr
-// method returns it, distinguishing "recompute from lineage" from
-// "payload corrupt".
+// FetchReader streams the bucket key owned by rank. Self-fetches read
+// the local store directly. Remote reads yield the bucket bytes
+// incrementally as chunks arrive, holding at most one chunk — reserved
+// against the memory budget — at a time; transient stream errors are
+// retried transparently, resuming from the last delivered chunk. If
+// the reader fails with a transport-level error (peer died, bucket
+// gone), its TransportErr method returns it, distinguishing "recompute
+// from lineage" from "payload corrupt". Only fatal errors (FetchGone,
+// dial or retry exhaustion) mark the rank dead.
 func (e *Exchange) FetchReader(rank int, key string) (io.ReadCloser, error) {
 	if rank < 0 || rank >= len(e.peers) {
 		return nil, fmt.Errorf("cluster: fetch from rank %d of %d", rank, len(e.peers))
@@ -379,7 +292,7 @@ func (e *Exchange) FetchReader(rank int, key string) (io.ReadCloser, error) {
 		if !ok {
 			return nil, fmt.Errorf("cluster: local bucket %s missing", key)
 		}
-		return &bucketReader{b: b}, nil
+		return io.NopCloser(bytes.NewReader(b)), nil
 	}
 	if e.dead[rank].Load() {
 		return nil, fmt.Errorf("cluster: rank %d marked dead", rank)
@@ -387,47 +300,10 @@ func (e *Exchange) FetchReader(rank int, key string) (io.ReadCloser, error) {
 	return &streamReader{e: e, rank: rank, key: key}, nil
 }
 
-// bucketReader serves a locally-stored bucket, decompressing one chunk
-// at a time so self-fetches of compressed buckets stay chunk-bounded
-// too.
-type bucketReader struct {
-	b   bucket
-	idx int
-	cur []byte
-}
-
-func (r *bucketReader) Read(p []byte) (int, error) {
-	for len(r.cur) == 0 {
-		if r.idx >= len(r.b.chunks) {
-			return 0, io.EOF
-		}
-		c := r.b.chunks[r.idx]
-		r.idx++
-		if c.flags&chunkFlagCompressed == 0 {
-			r.cur = c.data
-			continue
-		}
-		raw, err := spill.DecompressBlock(c.data, c.rawLen)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: stored chunk %d corrupt: %w", r.idx-1, err)
-		}
-		r.cur = raw
-	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	return n, nil
-}
-
-func (r *bucketReader) Close() error { return nil }
-
-// TransportErr is always nil for local reads: a failure here is data
-// corruption, never a reason to recompute.
-func (r *bucketReader) TransportErr() error { return nil }
-
 // streamReader is the client side of one streaming fetch. It connects
 // lazily (the first Read may block until the peer publishes the
 // bucket — that wait IS the pipeline: other fetches progress
-// meanwhile), decodes one chunk at a time under a memory reservation,
+// meanwhile), holds one chunk at a time under a memory reservation,
 // and transparently resumes after transient failures via FirstChunk.
 type streamReader struct {
 	e    *Exchange
@@ -436,14 +312,13 @@ type streamReader struct {
 
 	conn     net.Conn
 	br       *bufio.Reader
-	fresh    bool // conn was dialed (not pooled) for this request
-	got      int  // chunks received on the CURRENT connection
-	next     int  // next chunk index expected = resume point
-	attempts int  // transient retries consumed
+	got      int // chunks received on the CURRENT connection
+	next     int // next chunk index expected = resume point
+	attempts int // transient retries consumed
 
-	cur      []byte // decoded bytes of the current chunk, unconsumed
+	cur      []byte // bytes of the current chunk, unconsumed
 	reserved int64  // memory reservation held for cur
-	rawTotal int64  // raw bytes delivered so far (verified at end)
+	rawTotal int64  // bytes delivered so far (verified at end)
 	done     bool
 	terr     error // transport-level failure, set once
 }
@@ -533,19 +408,11 @@ func (s *streamReader) retry(err error) error {
 // needed. On return either s.cur holds chunk bytes, s.done is set, or
 // an error is final.
 func (s *streamReader) fill() error {
-	if s.e.legacy[s.rank].Load() {
-		return s.legacyFill()
-	}
 	if s.conn == nil {
 		if err := s.connect(); err != nil {
 			return s.fail(err) // dial exhaustion is fatal
 		}
-		req := fetchStreamMsg{
-			JobID:      s.e.jobID,
-			Key:        s.key,
-			Flags:      fetchFlagAcceptCompressed,
-			FirstChunk: int64(s.next),
-		}
+		req := fetchStreamMsg{JobID: s.e.jobID, Key: s.key, FirstChunk: int64(s.next)}
 		_ = s.conn.SetDeadline(time.Now().Add(s.e.fetchTimeout))
 		if err := writeFrame(s.conn, msgFetchStream, req.encode()); err != nil {
 			return s.retry(fmt.Errorf("cluster: send fetch-stream to rank %d: %w", s.rank, err))
@@ -554,48 +421,21 @@ func (s *streamReader) fill() error {
 	_ = s.conn.SetDeadline(time.Now().Add(s.e.fetchTimeout))
 	typ, payload, err := readFrame(s.br)
 	if err != nil {
-		if s.fresh && s.got == 0 && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
-			// A fresh connection closed before the first reply frame:
-			// the peer predates msgFetchStream and hung up on the
-			// unknown type. Downgrade this rank to the whole-blob
-			// protocol (harmless if wrong — new servers speak it too).
-			s.e.legacy[s.rank].Store(true)
-			s.conn.Close()
-			s.conn, s.br = nil, nil
-			return s.legacyFill()
-		}
 		return s.retry(fmt.Errorf("cluster: read stream from rank %d: %w", s.rank, err))
 	}
 	switch typ {
 	case msgStreamChunk:
-		flags, rawLen, body, err := decodeChunkFrame(payload)
+		rawLen, body, err := decodeChunkFrame(payload)
 		if err != nil {
 			return s.fail(fmt.Errorf("cluster: rank %d sent bad chunk frame: %w", s.rank, err))
 		}
+		if len(body) != rawLen {
+			return s.fail(fmt.Errorf("cluster: rank %d chunk %d: %d bytes, header says %d",
+				s.rank, s.next, len(body), rawLen))
+		}
 		s.e.mem.Load().Reserve(int64(rawLen))
 		s.reserved = int64(rawLen)
-		if flags&chunkFlagCompressed != 0 {
-			raw, err := spill.DecompressBlock(body, rawLen)
-			if err != nil {
-				// Corrupt payload is NOT a transport error: terr stays
-				// nil so the consumer knows recompute won't help.
-				s.release()
-				s.done = true
-				if s.conn != nil {
-					s.conn.Close()
-					s.conn, s.br = nil, nil
-				}
-				return fmt.Errorf("cluster: chunk %d from rank %d corrupt: %w", s.next, s.rank, err)
-			}
-			s.cur = raw
-		} else {
-			if len(body) != rawLen {
-				s.release()
-				return s.fail(fmt.Errorf("cluster: rank %d chunk %d: %d raw bytes, header says %d",
-					s.rank, s.next, len(body), rawLen))
-			}
-			s.cur = body
-		}
+		s.cur = body
 		s.next++
 		s.got++
 		s.rawTotal += int64(rawLen)
@@ -616,7 +456,7 @@ func (s *streamReader) fill() error {
 			// client-side sum is authoritative, so only sanity-check
 			// the single-connection case.
 			if s.attempts == 0 && (int64(s.got) != end.Chunks || s.rawTotal != wantRaw) {
-				return s.fail(fmt.Errorf("cluster: rank %d stream mismatch: got %d chunks/%d raw, peer sent %d/%d",
+				return s.fail(fmt.Errorf("cluster: rank %d stream mismatch: got %d chunks/%d bytes, peer sent %d/%d",
 					s.rank, s.got, s.rawTotal, end.Chunks, wantRaw))
 			}
 		}
@@ -631,65 +471,6 @@ func (s *streamReader) fill() error {
 	}
 }
 
-// legacyFill satisfies the whole stream with one msgFetch round trip —
-// the PR 5 wire path, kept for peers that predate chunk streaming.
-func (s *streamReader) legacyFill() error {
-	for {
-		if err := s.connect(); err != nil {
-			return s.fail(err)
-		}
-		blob, err := s.legacyOnce()
-		if err == nil {
-			// Skip what earlier (streamed) attempts already delivered:
-			// chunk boundaries are fixed at publish time.
-			skip := s.next * shuffleChunkSize
-			if skip > len(blob) {
-				skip = len(blob)
-			}
-			s.e.mem.Load().Reserve(int64(len(blob) - skip))
-			s.reserved = int64(len(blob) - skip)
-			s.cur = blob[skip:]
-			s.rawTotal += int64(len(blob) - skip)
-			s.done = true
-			return nil
-		}
-		if rerr := s.retry(err); rerr != nil {
-			return rerr
-		}
-	}
-}
-
-// legacyOnce performs one whole-blob request on the current connection.
-func (s *streamReader) legacyOnce() ([]byte, error) {
-	_ = s.conn.SetDeadline(time.Now().Add(s.e.fetchTimeout))
-	req := fetchMsg{JobID: s.e.jobID, Key: s.key}
-	if err := writeFrame(s.conn, msgFetch, req.encode()); err != nil {
-		return nil, fmt.Errorf("cluster: send fetch to rank %d: %w", s.rank, err)
-	}
-	typ, payload, err := readFrame(s.br)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: read fetch reply from rank %d: %w", s.rank, err)
-	}
-	switch typ {
-	case msgFetchOK:
-		s.e.wireFetchedBytes.Add(int64(len(payload)))
-		obsWireFetchedBytes.Add(int64(len(payload)))
-		s.e.wireRawBytes.Add(int64(len(payload)))
-		obsWireRawBytes.Add(int64(len(payload)))
-		// Reusable: the reply ended on a frame boundary.
-		_ = s.conn.SetDeadline(time.Time{})
-		s.e.pools[s.rank].put(s.conn)
-		s.conn, s.br = nil, nil
-		return payload, nil
-	case msgFetchGone:
-		s.e.fetchGone.Add(1)
-		obsFetchGone.Inc()
-		return nil, fmt.Errorf("cluster: rank %d lost bucket %s: %s: %w", s.rank, s.key, payload, errFetchGone)
-	default:
-		return nil, fmt.Errorf("cluster: unexpected reply type %d from rank %d", typ, s.rank)
-	}
-}
-
 // connect acquires a connection to the peer: pooled if available,
 // freshly dialed (with backoff) otherwise.
 func (s *streamReader) connect() error {
@@ -698,7 +479,7 @@ func (s *streamReader) connect() error {
 	}
 	s.got = 0
 	if c := s.e.pools[s.rank].get(); c != nil {
-		s.conn, s.br, s.fresh = c, bufio.NewReader(c), false
+		s.conn, s.br = c, bufio.NewReader(c)
 		s.e.connPoolHits.Add(1)
 		obsConnPoolHits.Inc()
 		return nil
@@ -710,7 +491,7 @@ func (s *streamReader) connect() error {
 		var c net.Conn
 		c, err = net.DialTimeout("tcp", s.e.peers[s.rank], s.e.fetchTimeout)
 		if err == nil {
-			s.conn, s.br, s.fresh = c, bufio.NewReader(c), true
+			s.conn, s.br = c, bufio.NewReader(c)
 			return nil
 		}
 		if attempt >= s.e.dialRetries {

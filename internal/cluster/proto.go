@@ -23,55 +23,57 @@ import (
 // Control- and data-plane message types. A frame is one type byte, a
 // uvarint payload length, then the payload.
 const (
-	msgRegister  = byte(1)  // worker -> driver: id, data addr, capacity
-	msgWelcome   = byte(2)  // driver -> worker: accepted, heartbeat period
-	msgHeartbeat = byte(3)  // worker -> driver: liveness (empty payload)
-	msgJob       = byte(4)  // driver -> worker: run program rank r of w
-	msgJobDone   = byte(5)  // worker -> driver: result or error + report
-	msgJobEnd    = byte(6)  // driver -> worker: job finished, drop its store
-	msgFetch     = byte(7)  // worker -> worker: shuffle bucket request
-	msgFetchOK   = byte(8)  // worker -> worker: bucket payload
+	msgRegister  = byte(1) // worker -> driver: id, data addr, capacity, protocol version
+	msgWelcome   = byte(2) // driver -> worker: accepted, heartbeat period
+	msgHeartbeat = byte(3) // worker -> driver: liveness (empty payload)
+	msgJob       = byte(4) // driver -> worker: run program rank r of w
+	msgJobDone   = byte(5) // worker -> driver: result or error + report
+	msgJobEnd    = byte(6) // driver -> worker: job finished, drop its store
+	// Types 7 and 8 belonged to a retired whole-blob fetch; they stay
+	// unassigned so a stray old frame is never misread.
 	msgFetchGone = byte(9)  // worker -> worker: bucket unavailable (job failed here)
 	msgTelemetry = byte(10) // worker -> driver: span batch + stage rows + counter deltas
 
-	// Streaming data plane (PR 10). A streaming fetch is one
-	// msgFetchStream request answered by zero or more msgStreamChunk
-	// frames and a terminating msgStreamEnd (or msgFetchGone). Old
-	// workers that don't know msgFetchStream close the connection,
-	// which the client detects and downgrades to msgFetch — so mixed
-	// fleets stay wire-compatible in both directions.
+	// The shuffle data plane. A fetch is one msgFetchStream request
+	// answered by zero or more msgStreamChunk frames and a terminating
+	// msgStreamEnd (or msgFetchGone).
 	msgFetchStream = byte(11) // worker -> worker: chunked bucket request
 	msgStreamChunk = byte(12) // worker -> worker: one bucket chunk
 	msgStreamEnd   = byte(13) // worker -> worker: stream totals / terminator
+
+	msgRefused = byte(14) // driver -> worker: registration refused (payload: reason)
 )
 
-// fetchStreamMsg flag bits, set by the requester.
-const (
-	// fetchFlagAcceptCompressed: the requester can decode compressed
-	// chunks; without it the server decompresses before sending.
-	fetchFlagAcceptCompressed = uint64(1) << 0
-)
-
-// streamChunk flag bits, one byte per chunk.
-const (
-	// chunkFlagCompressed: the chunk body is a spill.CompressBlock
-	// block that inflates to RawLen bytes.
-	chunkFlagCompressed = byte(1) << 0
-)
+// protoVersion is the wire protocol every binary of one cluster must
+// speak. Workers send it in msgRegister and the driver refuses any
+// other value, so mismatched binaries fail at registration rather than
+// mid-shuffle. Binaries that predate the field register as version 0.
+const protoVersion = 1
 
 // maxFrame bounds a frame payload so a corrupt length prefix cannot
 // drive a giant allocation.
 const maxFrame = 1 << 30
 
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
+// writeFrame writes one frame whose payload is the concatenation of
+// parts, so a header and a body can go out without being copied
+// together first.
+func writeFrame(w io.Writer, typ byte, parts ...[]byte) error {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = typ
-	n := binary.PutUvarint(hdr[1:], uint64(len(payload)))
+	n := binary.PutUvarint(hdr[1:], uint64(size))
 	if _, err := w.Write(hdr[:1+n]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
-	return err
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func readFrame(r *bufio.Reader) (byte, []byte, error) {
@@ -187,12 +189,14 @@ func (c *wireCur) strs() []string {
 }
 
 // registerMsg is the worker's hello: identity, where peers can fetch
-// shuffle data from it, and its execution capacity.
+// shuffle data from it, its execution capacity, and the wire protocol
+// it speaks.
 type registerMsg struct {
 	ID          string
 	DataAddr    string
 	Parallelism int64
 	MemBudget   int64
+	Proto       int64
 }
 
 func (m *registerMsg) encode() []byte {
@@ -201,12 +205,19 @@ func (m *registerMsg) encode() []byte {
 	w.str(m.DataAddr)
 	w.i64(m.Parallelism)
 	w.i64(m.MemBudget)
+	w.i64(m.Proto)
 	return w.b
 }
 
+// decodeRegister reads a hello. Proto is the last field, so a frame
+// from a binary that predates it decodes with Proto 0 and is refused
+// with a precise error instead of a parse failure.
 func decodeRegister(p []byte) (registerMsg, error) {
 	c := wireCur{b: p}
 	m := registerMsg{ID: c.str(), DataAddr: c.str(), Parallelism: c.i64(), MemBudget: c.i64()}
+	if c.err == nil && len(c.b) > 0 {
+		m.Proto = c.i64()
+	}
 	return m, c.err
 }
 
@@ -305,24 +316,6 @@ func decodeJobEnd(p []byte) (jobEndMsg, error) {
 	return m, c.err
 }
 
-type fetchMsg struct {
-	JobID int64
-	Key   string
-}
-
-func (m *fetchMsg) encode() []byte {
-	var w wireBuf
-	w.i64(m.JobID)
-	w.str(m.Key)
-	return w.b
-}
-
-func decodeFetch(p []byte) (fetchMsg, error) {
-	c := wireCur{b: p}
-	m := fetchMsg{JobID: c.i64(), Key: c.str()}
-	return m, c.err
-}
-
 // fetchStreamMsg asks a peer to stream one bucket as chunks, starting
 // at chunk index FirstChunk (non-zero when resuming after a transient
 // connection failure — chunk boundaries are fixed at publish time, so
@@ -330,7 +323,6 @@ func decodeFetch(p []byte) (fetchMsg, error) {
 type fetchStreamMsg struct {
 	JobID      int64
 	Key        string
-	Flags      uint64
 	FirstChunk int64
 }
 
@@ -338,61 +330,53 @@ func (m *fetchStreamMsg) encode() []byte {
 	var w wireBuf
 	w.i64(m.JobID)
 	w.str(m.Key)
-	w.u64(m.Flags)
 	w.i64(m.FirstChunk)
 	return w.b
 }
 
 func decodeFetchStream(p []byte) (fetchStreamMsg, error) {
 	c := wireCur{b: p}
-	m := fetchStreamMsg{JobID: c.i64(), Key: c.str(), Flags: c.u64(), FirstChunk: c.i64()}
+	m := fetchStreamMsg{JobID: c.i64(), Key: c.str(), FirstChunk: c.i64()}
 	if m.FirstChunk < 0 {
 		c.fail("fetch-stream first chunk")
 	}
 	return m, c.err
 }
 
-// encodeChunkFrame frames one chunk payload: a flags byte, the
-// decompressed length, then the body (compressed or raw per the flag).
-func encodeChunkFrame(flags byte, rawLen int, body []byte) []byte {
-	w := wireBuf{b: make([]byte, 0, 1+binary.MaxVarintLen64+len(body))}
-	w.b = append(w.b, flags)
-	w.u64(uint64(rawLen))
-	w.b = append(w.b, body...)
-	return w.b
+// chunkHeader is the prefix of a msgStreamChunk payload: the body
+// length as a uvarint. The body follows directly, so a frame is
+// writeFrame(w, msgStreamChunk, chunkHeader(len(body)), body).
+func chunkHeader(n int) []byte {
+	return binary.AppendUvarint(nil, uint64(n))
 }
 
-// decodeChunkFrame reverses encodeChunkFrame. RawLen is bounded by
-// maxFrame so a corrupt header cannot drive a giant decompression
-// allocation; the body is NOT copied (it aliases p, which readFrame
-// already allocated fresh).
-func decodeChunkFrame(p []byte) (flags byte, rawLen int, body []byte, err error) {
-	if len(p) < 1 {
-		return 0, 0, nil, fmt.Errorf("cluster: empty chunk frame")
-	}
-	flags = p[0]
-	c := wireCur{b: p[1:]}
+// decodeChunkFrame splits a msgStreamChunk payload into the declared
+// length and the body. The length is bounded by maxFrame so a corrupt
+// header cannot drive a giant reservation; the body is NOT copied (it
+// aliases p, which readFrame already allocated fresh). Callers check
+// the body against the declared length.
+func decodeChunkFrame(p []byte) (rawLen int, body []byte, err error) {
+	c := wireCur{b: p}
 	n := c.u64()
 	if c.err != nil {
-		return 0, 0, nil, c.err
+		return 0, nil, c.err
 	}
 	if n > maxFrame {
-		return 0, 0, nil, fmt.Errorf("cluster: chunk raw length %d exceeds limit", n)
+		return 0, nil, fmt.Errorf("cluster: chunk length %d exceeds limit", n)
 	}
-	return flags, int(n), c.b, nil
+	return int(n), c.b, nil
 }
 
 // streamEndMsg closes a chunk stream with totals the client verifies.
 // Encoded field-count-prefixed like Report so future fields append
 // compatibly.
 type streamEndMsg struct {
-	Chunks    int64 // chunks sent in THIS response (from FirstChunk on)
-	RawBytes  int64 // decompressed bytes represented by those chunks
-	WireBytes int64 // bytes as actually framed on the wire
+	Chunks   int64 // chunks sent in THIS response (from FirstChunk on)
+	RawBytes int64 // bucket bytes carried by those chunks
 }
 
 func (m *streamEndMsg) fields() []*int64 {
-	return []*int64{&m.Chunks, &m.RawBytes, &m.WireBytes}
+	return []*int64{&m.Chunks, &m.RawBytes}
 }
 
 func (m *streamEndMsg) encode() []byte {
@@ -439,10 +423,10 @@ type Report struct {
 	// servers, dial attempts that had to be retried, and FetchGone
 	// replies received (a peer lost the bucket, forcing recompute).
 	WireFetchedBytes, FetchRetries, FetchGoneEvents int64
-	// Streaming data-plane counters (appended in PR 10): decompressed
-	// bytes represented by fetched chunks (WireFetchedBytes is the
-	// post-compression on-the-wire count, so raw-wire = bytes saved),
-	// chunks fetched, and data-connection pool hits vs fresh dials.
+	// Streaming data-plane counters (appended fields): bucket bytes
+	// carried by fetched chunks (WireFetchedBytes adds each chunk's
+	// length header on top), chunks fetched, and data-connection pool
+	// hits vs fresh dials.
 	WireRawBytes, ChunksFetched, ConnPoolHits, ConnPoolMisses int64
 }
 

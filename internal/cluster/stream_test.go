@@ -1,10 +1,9 @@
 package cluster
 
-// Streaming data-plane tests: chunked/compressed fetch parity with the
-// whole-blob path, transparent resume after transient stream errors
-// (the rank must NOT be marked dead), fatal FetchGone classification,
-// connection-pool reuse, legacy-protocol interop in both directions,
-// and memory-bounded fetches.
+// Streaming data-plane tests: chunked fetch parity with the published
+// bytes, transparent resume after transient stream errors (the rank
+// must NOT be marked dead), fatal FetchGone classification,
+// connection-pool reuse, and memory-bounded fetches.
 
 import (
 	"bufio"
@@ -49,6 +48,16 @@ func clientExchange(jobID int64, serverAddr string) *Exchange {
 	return e
 }
 
+// fetchAll reads the whole bucket key from rank through FetchReader.
+func fetchAll(e *Exchange, rank int, key string) ([]byte, error) {
+	rc, err := e.FetchReader(rank, key)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return io.ReadAll(rc)
+}
+
 func testBlobs() map[string][]byte {
 	rng := rand.New(rand.NewSource(42))
 	random := make([]byte, 3*shuffleChunkSize+777) // 4 chunks, incompressible
@@ -62,40 +71,44 @@ func testBlobs() map[string][]byte {
 	}
 }
 
+// TestStreamFetchParity fetches every test blob over the data server and
+// checks it byte for byte. Chunks travel uncompressed (compress=false is
+// the only wire mode), so on-wire bytes are the bucket bytes plus framing.
 func TestStreamFetchParity(t *testing.T) {
-	for _, compress := range []bool{true, false} {
-		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
-			w, addr := startDataServer(t)
-			server := newExchange(1, 1, nil, w.storeFor(1))
-			server.SetCompression(compress)
-			e := clientExchange(1, addr)
-			for name, blob := range testBlobs() {
-				if err := server.Publish(name, blob); err != nil {
-					t.Fatalf("publish %s: %v", name, err)
-				}
-				got, err := e.Fetch(1, name)
-				if err != nil {
-					t.Fatalf("fetch %s: %v", name, err)
-				}
-				if !bytes.Equal(got, blob) {
-					t.Fatalf("%s: fetched %d bytes, want %d (content mismatch)", name, len(got), len(blob))
-				}
+	t.Run("compress=false", func(t *testing.T) {
+		w, addr := startDataServer(t)
+		server := newExchange(1, 1, nil, w.storeFor(1))
+		e := clientExchange(1, addr)
+		var raw int64
+		for name, blob := range testBlobs() {
+			if err := server.Publish(name, blob); err != nil {
+				t.Fatalf("publish %s: %v", name, err)
 			}
-			if e.chunksFetched.Load() == 0 {
-				t.Fatal("no chunks counted: fetches did not use the streaming path")
+			got, err := fetchAll(e, 1, name)
+			if err != nil {
+				t.Fatalf("fetch %s: %v", name, err)
 			}
-			if e.wireRawBytes.Load() == 0 {
-				t.Fatal("wireRawBytes not counted")
+			if !bytes.Equal(got, blob) {
+				t.Fatalf("%s: fetched %d bytes, want %d (content mismatch)", name, len(got), len(blob))
 			}
-			if compress && e.wireFetchedBytes.Load() >= e.wireRawBytes.Load() {
-				t.Fatalf("compression saved nothing: wire=%d raw=%d",
-					e.wireFetchedBytes.Load(), e.wireRawBytes.Load())
-			}
-			if e.dead[1].Load() {
-				t.Fatal("healthy rank marked dead")
-			}
-		})
-	}
+			raw += int64(len(blob))
+		}
+		chunks := e.chunksFetched.Load()
+		if chunks == 0 {
+			t.Fatal("no chunks counted: fetches did not use the streaming path")
+		}
+		if got := e.wireRawBytes.Load(); got != raw {
+			t.Fatalf("wireRawBytes = %d, want %d", got, raw)
+		}
+		// On-wire bytes exceed the bucket bytes only by each chunk's
+		// length header.
+		if wire := e.wireFetchedBytes.Load(); wire < raw || wire > raw+16*chunks {
+			t.Fatalf("wire bytes %d outside [%d, %d + framing]", wire, raw, raw)
+		}
+		if e.dead[1].Load() {
+			t.Fatal("healthy rank marked dead")
+		}
+	})
 }
 
 func TestConnPoolReuse(t *testing.T) {
@@ -105,7 +118,7 @@ func TestConnPoolReuse(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
 		_ = server.Publish(key, bytes.Repeat([]byte{byte(i)}, 10_000))
-		if _, err := e.Fetch(1, key); err != nil {
+		if _, err := fetchAll(e, 1, key); err != nil {
 			t.Fatalf("fetch %s: %v", key, err)
 		}
 	}
@@ -121,8 +134,7 @@ func TestConnPoolReuse(t *testing.T) {
 // and the rank is NOT marked dead.
 func TestTransientStreamErrorResumes(t *testing.T) {
 	blob := bytes.Repeat([]byte("stream-me-"), 4*shuffleChunkSize/10)
-	bkt := makeBucket(blob, true)
-	if len(bkt.chunks) < 2 {
+	if chunkCount(blob) < 2 {
 		t.Fatal("test bucket must span several chunks")
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -155,13 +167,13 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 				firstChunks = append(firstChunks, req.FirstChunk)
 				fcMu.Unlock()
 				var end streamEndMsg
-				for i := int(req.FirstChunk); i < len(bkt.chunks); i++ {
-					ch := bkt.chunks[i]
-					if writeFrame(conn, msgStreamChunk, encodeChunkFrame(ch.flags, ch.rawLen, ch.data)) != nil {
+				for i := int(req.FirstChunk); i < chunkCount(blob); i++ {
+					ch := chunkAt(blob, i)
+					if writeFrame(conn, msgStreamChunk, chunkHeader(len(ch)), ch) != nil {
 						return
 					}
 					end.Chunks++
-					end.RawBytes += int64(ch.rawLen)
+					end.RawBytes += int64(len(ch))
 					if kill {
 						return // hang up mid-stream after one chunk
 					}
@@ -171,7 +183,7 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 		}
 	}()
 	e := clientExchange(3, ln.Addr().String())
-	got, err := e.Fetch(1, "x")
+	got, err := fetchAll(e, 1, "x")
 	if err != nil {
 		t.Fatalf("fetch across mid-stream hangup: %v", err)
 	}
@@ -192,7 +204,7 @@ func TestTransientStreamErrorResumes(t *testing.T) {
 		t.Fatalf("expected a resume with FirstChunk > 0, saw requests %v", seen)
 	}
 	// A later fetch from the same (healthy) rank must still work.
-	if _, err := e.Fetch(1, "x"); err != nil {
+	if _, err := fetchAll(e, 1, "x"); err != nil {
 		t.Fatalf("rank unusable after recovered transient error: %v", err)
 	}
 }
@@ -205,7 +217,7 @@ func TestFetchGoneIsFatal(t *testing.T) {
 	store := w.storeFor(4)
 	store.fail()
 	e := clientExchange(4, addr)
-	if _, err := e.Fetch(1, "anything"); err == nil {
+	if _, err := fetchAll(e, 1, "anything"); err == nil {
 		t.Fatal("fetch from failed store succeeded")
 	}
 	if e.fetchGone.Load() == 0 {
@@ -217,93 +229,8 @@ func TestFetchGoneIsFatal(t *testing.T) {
 	if e.fetchRetries.Load() != 0 {
 		t.Fatalf("fatal FetchGone was retried %d times", e.fetchRetries.Load())
 	}
-	if _, err := e.Fetch(1, "other"); err == nil || !bytes.Contains([]byte(err.Error()), []byte("dead")) {
+	if _, err := fetchAll(e, 1, "other"); err == nil || !bytes.Contains([]byte(err.Error()), []byte("dead")) {
 		t.Fatalf("dead rank not failing fast: %v", err)
-	}
-}
-
-// TestLegacyServerFallback: fetching from a peer that predates the
-// streaming protocol (closes the connection on unknown frame types,
-// answers only msgFetch) must transparently downgrade to whole-blob.
-func TestLegacyServerFallback(t *testing.T) {
-	blob := bytes.Repeat([]byte("old-wire-"), 50_000) // > 1 chunk
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				for {
-					typ, payload, err := readFrame(br)
-					if err != nil {
-						return
-					}
-					if typ != msgFetch {
-						return // PR 5 behavior: hang up on anything unknown
-					}
-					if _, err := decodeFetch(payload); err != nil {
-						return
-					}
-					if writeFrame(conn, msgFetchOK, blob) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	e := clientExchange(5, ln.Addr().String())
-	got, err := e.Fetch(1, "k")
-	if err != nil {
-		t.Fatalf("fetch from legacy server: %v", err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("legacy fallback returned wrong bytes")
-	}
-	if !e.legacy[1].Load() {
-		t.Fatal("peer not remembered as legacy")
-	}
-	if e.dead[1].Load() {
-		t.Fatal("legacy downgrade marked the rank dead")
-	}
-	// Second fetch goes straight to the legacy path.
-	if _, err := e.Fetch(1, "k2"); err != nil {
-		t.Fatalf("second legacy fetch: %v", err)
-	}
-}
-
-// TestLegacyClientAgainstNewServer: an old peer that only speaks
-// msgFetch must still get the exact published bytes from a new server,
-// even when the stored bucket is chunked and compressed.
-func TestLegacyClientAgainstNewServer(t *testing.T) {
-	w, addr := startDataServer(t)
-	server := newExchange(6, 1, nil, w.storeFor(6))
-	blob := bytes.Repeat([]byte("compress-me-"), 3*shuffleChunkSize/12)
-	if err := server.Publish("k", blob); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	req := fetchMsg{JobID: 6, Key: "k"}
-	if err := writeFrame(conn, msgFetch, req.encode()); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(bufio.NewReader(conn))
-	if err != nil || typ != msgFetchOK {
-		t.Fatalf("whole-blob reply: type=%d err=%v", typ, err)
-	}
-	if !bytes.Equal(payload, blob) {
-		t.Fatal("whole-blob reply not byte-identical to published bucket")
 	}
 }
 
@@ -347,71 +274,29 @@ func TestMemoryBoundedFetch(t *testing.T) {
 	}
 }
 
-// TestBucketHeuristic: the publish-side probe compresses compressible
-// buckets and stores incompressible ones raw.
-func TestBucketHeuristic(t *testing.T) {
-	rep := bytes.Repeat([]byte("abcd"), shuffleChunkSize)
-	b := makeBucket(rep, true)
-	stored := 0
-	for _, c := range b.chunks {
-		if c.flags&chunkFlagCompressed == 0 {
-			t.Fatal("compressible chunk stored raw")
-		}
-		stored += len(c.data)
-	}
-	if stored >= len(rep) {
-		t.Fatalf("compressed bucket not smaller: %d vs %d", stored, len(rep))
-	}
-	back, err := b.assemble()
-	if err != nil || !bytes.Equal(back, rep) {
-		t.Fatalf("assemble mismatch (err=%v)", err)
-	}
-
-	rng := rand.New(rand.NewSource(1))
-	rnd := make([]byte, 2*shuffleChunkSize)
-	rng.Read(rnd)
-	b = makeBucket(rnd, true)
-	for i, c := range b.chunks {
-		if c.flags&chunkFlagCompressed != 0 {
-			t.Fatalf("incompressible chunk %d stored compressed", i)
-		}
-	}
-	back, err = b.assemble()
-	if err != nil || !bytes.Equal(back, rnd) {
-		t.Fatalf("raw assemble mismatch (err=%v)", err)
-	}
-
-	b = makeBucket(rep, false)
-	for _, c := range b.chunks {
-		if c.flags != 0 {
-			t.Fatal("compression-off bucket has compressed chunks")
-		}
-	}
-}
-
 // FuzzChunkFrame hardens the streaming decoders against corrupt and
-// truncated frames: they must error, never panic, and the frame
-// encoder must round-trip.
+// truncated frames: they must error, never panic, and the chunk frame
+// must round-trip.
 func FuzzChunkFrame(f *testing.F) {
-	f.Add(encodeChunkFrame(0, 5, []byte("hello")))
-	f.Add(encodeChunkFrame(chunkFlagCompressed, 100, []byte{1, 2, 3}))
-	f.Add((&fetchStreamMsg{JobID: 1, Key: "x1.2.3", Flags: 1, FirstChunk: 7}).encode())
-	f.Add((&streamEndMsg{Chunks: 3, RawBytes: 1 << 20, WireBytes: 1 << 18}).encode())
+	f.Add(append(chunkHeader(5), "hello"...))
+	f.Add(append(chunkHeader(100), 1, 2, 3)) // header disagrees with body
+	f.Add((&fetchStreamMsg{JobID: 1, Key: "x1.2.3", FirstChunk: 7}).encode())
+	f.Add((&streamEndMsg{Chunks: 3, RawBytes: 1 << 20}).encode())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	ch := encodeChunkFrame(chunkFlagCompressed, 1<<20, bytes.Repeat([]byte{7}, 64))
+	ch := append(chunkHeader(1<<20), bytes.Repeat([]byte{7}, 64)...)
 	f.Add(ch[:len(ch)/2]) // truncated chunk
 	f.Fuzz(func(t *testing.T, data []byte) {
-		flags, rawLen, body, err := decodeChunkFrame(data)
+		rawLen, body, err := decodeChunkFrame(data)
 		if err == nil {
 			if rawLen > maxFrame || rawLen < 0 {
-				t.Fatalf("decoder admitted bad rawLen %d", rawLen)
+				t.Fatalf("decoder admitted bad length %d", rawLen)
 			}
 			// Re-encoding the decoded values must decode back to the
 			// same values (the encoding is canonical; the input may
 			// have used non-minimal varints).
-			f2, r2, b2, err2 := decodeChunkFrame(encodeChunkFrame(flags, rawLen, body))
-			if err2 != nil || f2 != flags || r2 != rawLen || !bytes.Equal(b2, body) {
+			r2, b2, err2 := decodeChunkFrame(append(chunkHeader(rawLen), body...))
+			if err2 != nil || r2 != rawLen || !bytes.Equal(b2, body) {
 				t.Fatalf("chunk frame not canonical: %v", err2)
 			}
 		}

@@ -2,13 +2,12 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/spill"
 )
 
 // WorkerConfig configures one worker process (or in-process worker in
@@ -46,9 +45,15 @@ type Worker struct {
 	err    atomic.Pointer[string]
 }
 
+// ErrRefused marks a registration the driver answered with a refusal
+// (a protocol version mismatch). Retrying cannot succeed, so callers
+// that retry StartWorker should stop on it.
+var ErrRefused = errors.New("cluster: driver refused registration")
+
 // StartWorker connects to the driver, registers, and starts the
 // heartbeat, control, and data-server loops. It returns once the
-// driver has acknowledged registration.
+// driver has acknowledged registration, or an error wrapping
+// ErrRefused when the driver turned it away.
 func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster: worker needs an ID")
@@ -80,6 +85,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		DataAddr:    ln.Addr().String(),
 		Parallelism: int64(cfg.Parallelism),
 		MemBudget:   cfg.MemoryBudget,
+		Proto:       protoVersion,
 	}
 	if err := w.send(msgRegister, reg.encode()); err != nil {
 		w.shutdown()
@@ -87,6 +93,10 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	br := bufio.NewReader(conn)
 	typ, payload, err := readFrame(br)
+	if err == nil && typ == msgRefused {
+		w.shutdown()
+		return nil, fmt.Errorf("%w: %s", ErrRefused, payload)
+	}
 	if err != nil || typ != msgWelcome {
 		w.shutdown()
 		return nil, fmt.Errorf("cluster: no welcome from driver (type=%d err=%v)", typ, err)
@@ -335,90 +345,42 @@ func (w *Worker) dataLoop() {
 
 // serveData answers bucket requests on one peer connection. The loop
 // handles any number of requests per connection (the client side pools
-// connections), speaking both the chunked streaming protocol and the
-// PR 5 whole-blob protocol — a new worker serves old peers and vice
-// versa. Anything unrecognized closes the connection, which is exactly
-// the signal a NEWER peer uses to downgrade to the messages we do know.
+// connections); anything but msgFetchStream closes the connection.
 func (w *Worker) serveData(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	for {
 		typ, payload, err := readFrame(br)
-		if err != nil {
+		if err != nil || typ != msgFetchStream {
 			return
 		}
-		switch typ {
-		case msgFetch:
-			req, err := decodeFetch(payload)
-			if err != nil {
-				return
-			}
-			bkt, err := w.storeFor(req.JobID).waitGet(req.Key)
-			if err != nil {
-				if writeFrame(bw, msgFetchGone, []byte(err.Error())) != nil || bw.Flush() != nil {
-					return
-				}
-				continue
-			}
-			blob, err := bkt.assemble()
-			if err != nil {
-				if writeFrame(bw, msgFetchGone, []byte(err.Error())) != nil || bw.Flush() != nil {
-					return
-				}
-				continue
-			}
-			w.servedFetches.Add(1)
-			w.servedBytes.Add(int64(len(blob)))
-			obsWireServedBytes.Add(int64(len(blob)))
-			if writeFrame(bw, msgFetchOK, blob) != nil || bw.Flush() != nil {
-				return
-			}
-		case msgFetchStream:
-			req, err := decodeFetchStream(payload)
-			if err != nil {
-				return
-			}
-			if !w.serveStream(bw, req) {
-				return
-			}
-		default:
+		req, err := decodeFetchStream(payload)
+		if err != nil || !w.serveStream(bw, req) {
 			return
 		}
 	}
 }
 
-// serveStream answers one chunked bucket request: every stored chunk
-// from FirstChunk on, then the totals. Chunks are sent as stored —
-// compressed buckets cost zero re-encoding — unless the requester
-// can't decode compressed chunks, in which case each is inflated
-// before framing. Returns false when the connection is unusable.
+// serveStream answers one chunked bucket request: every chunk from
+// FirstChunk on, sliced straight out of the stored bucket, then the
+// totals. Returns false when the connection is unusable.
 func (w *Worker) serveStream(bw *bufio.Writer, req fetchStreamMsg) bool {
 	bkt, err := w.storeFor(req.JobID).waitGet(req.Key)
 	if err != nil {
 		return writeFrame(bw, msgFetchGone, []byte(err.Error())) == nil && bw.Flush() == nil
 	}
-	accept := req.Flags&fetchFlagAcceptCompressed != 0
 	var end streamEndMsg
-	for i := int(req.FirstChunk); i < len(bkt.chunks); i++ {
-		ch := bkt.chunks[i]
-		flags, body := ch.flags, ch.data
-		if flags&chunkFlagCompressed != 0 && !accept {
-			raw, err := spill.DecompressBlock(ch.data, ch.rawLen)
-			if err != nil {
-				return writeFrame(bw, msgFetchGone, []byte(err.Error())) == nil && bw.Flush() == nil
-			}
-			flags, body = flags&^chunkFlagCompressed, raw
-		}
-		if writeFrame(bw, msgStreamChunk, encodeChunkFrame(flags, ch.rawLen, body)) != nil {
+	for i := int(req.FirstChunk); i < chunkCount(bkt); i++ {
+		c := chunkAt(bkt, i)
+		if writeFrame(bw, msgStreamChunk, chunkHeader(len(c)), c) != nil {
 			return false
 		}
 		end.Chunks++
-		end.RawBytes += int64(ch.rawLen)
-		end.WireBytes += int64(len(body))
+		end.RawBytes += int64(len(c))
 	}
 	w.servedFetches.Add(1)
-	w.servedBytes.Add(end.WireBytes)
-	obsWireServedBytes.Add(end.WireBytes)
+	w.servedBytes.Add(end.RawBytes)
+	obsWireServedBytes.Add(end.RawBytes)
 	return writeFrame(bw, msgStreamEnd, end.encode()) == nil && bw.Flush() == nil
 }

@@ -8,8 +8,10 @@ import (
 	"repro/internal/comp"
 	"repro/internal/linalg"
 	"repro/internal/opt"
+	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/tiled"
+	"repro/internal/trace"
 )
 
 func TestSessionQuickstart(t *testing.T) {
@@ -332,5 +334,36 @@ func TestSessionsShareStatsCache(t *testing.T) {
 	}
 	if shared.TotalRuns() != 12 {
 		t.Fatalf("shared cache runs = %d, want 12", shared.TotalRuns())
+	}
+}
+
+// TestPoisonQueryIsAnError is the regression test for a runtime error
+// in a lazy stage: the division by zero fires while the result is
+// forced, which must come back as an error value from ExecuteAndForce
+// and ExecuteInSpan, never as a panic.
+func TestPoisonQueryIsAnError(t *testing.T) {
+	s := NewSession(Config{TileSize: 4, Partitions: 2})
+	defer s.Close()
+	s.RegisterRandMatrix("M", 8, 8, 0, 10, 1)
+	const poison = "tiled(8,8)[ ((i,j), m + (i%0)) | ((i,j),m) <- M ]"
+	for name, run := range map[string]func(q *plan.Compiled) (*plan.Result, error){
+		"ExecuteAndForce": (*plan.Compiled).ExecuteAndForce,
+		"ExecuteInSpan": func(q *plan.Compiled) (*plan.Result, error) {
+			tr := trace.New()
+			return q.ExecuteInSpan(tr, tr.Start(nil, "query"))
+		},
+	} {
+		q, err := s.Compile(poison)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		res, err := run(q)
+		if err == nil || !strings.Contains(err.Error(), "modulo by zero") {
+			t.Fatalf("%s: got (%v, %v), want the modulo-by-zero error", name, res, err)
+		}
+	}
+	// The session stays usable after the failed query.
+	if _, err := s.QueryScalar("+/[ m | ((i,j),m) <- M ]"); err != nil {
+		t.Fatalf("query after poison: %v", err)
 	}
 }

@@ -28,14 +28,15 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/spill"
 )
 
 // Transport connects one rank of a distributed job to its peers. It is
-// implemented by cluster.Exchange (over TCP) and by in-process test
-// fakes; dataflow deliberately depends only on this structural
-// interface, never on the cluster package.
+// implemented by cluster.Exchange (chunked, connection-pooled TCP
+// streams) and by in-process test fakes; dataflow deliberately depends
+// only on this structural interface, never on the cluster package.
 type Transport interface {
 	// Rank is this process's 0-based index in the job.
 	Rank() int
@@ -44,27 +45,17 @@ type Transport interface {
 	// Publish stores blob under key in this rank's shuffle store,
 	// where peers (and this rank) can fetch it.
 	Publish(key string, blob []byte) error
-	// Fetch returns the blob published under key by rank. It blocks
-	// until the owner publishes, and fails when the owner is dead or
-	// unreachable — the caller falls back to lineage recompute.
-	Fetch(rank int, key string) ([]byte, error)
-}
-
-// StreamTransport is the optional streaming extension of Transport:
-// FetchReader yields the published blob incrementally, so the consumer
-// decodes while bytes are still arriving and the bucket never has to
-// exist whole on this side. cluster.Exchange implements it with
-// chunked, compressed, connection-pooled transfers.
-//
-// If a returned reader can fail mid-stream for transport reasons (the
-// peer died), it should also implement `TransportErr() error` so the
-// consumer can tell "recompute from lineage" apart from "payload
-// corrupt" — a decode failure with a nil TransportErr is treated as
-// corruption and panics.
-type StreamTransport interface {
-	Transport
-	// FetchReader streams the blob published under key by rank. Like
-	// Fetch, the first read blocks until the owner publishes.
+	// FetchReader streams the blob published under key by rank, so the
+	// consumer decodes while bytes are still arriving and the blob
+	// never has to exist whole on this side. The first read blocks
+	// until the owner publishes; an error means the owner is dead or
+	// unreachable and the caller falls back to lineage recompute.
+	//
+	// A reader that can fail mid-stream for transport reasons (the peer
+	// died) should also implement `TransportErr() error`, so the
+	// consumer can tell "recompute from lineage" apart from "payload
+	// corrupt": a decode failure with a nil TransportErr is treated as
+	// corruption and panics.
 	FetchReader(rank int, key string) (io.ReadCloser, error)
 }
 
@@ -258,60 +249,36 @@ func (s *lazyBuckets[T]) assemblePartition(p int) []T {
 
 // fetchBucket returns map task m's rows for bucket b: from the local
 // store when this rank owns m, over the network otherwise, and by
-// lineage recompute when the owner is dead. Streaming transports
-// decode rows as chunks arrive; plain transports materialize the blob
-// first.
+// lineage recompute when the owner is dead or the stream tore.
 func (s *lazyBuckets[T]) fetchBucket(m, b int) []T {
 	sd := s.spmd
-	c := s.ctx
-	owner := m % sd.t.World()
 	key := exchKey(sd.exchID, m, b)
-	if st, ok := sd.t.(StreamTransport); ok && !c.conf.DisableStreamFetch {
-		rows, ok := s.streamBucket(st, owner, m, b, key)
-		if ok {
-			return rows
-		}
-		c.metrics.fetchFailures.Add(1)
-		return s.recomputeBucket(m, b)
+	rows, ok := fetchRows(s.ctx, sd.t, sd.codec, m%sd.t.World(), key, s.name)
+	if ok {
+		return rows
 	}
-	blob, err := sd.t.Fetch(owner, key)
-	if err != nil {
-		if owner == sd.t.Rank() {
-			// Our own store never loses a published bucket while we run.
-			panic(fmt.Errorf("dataflow: %s: local bucket (%d,%d) lost: %w", s.name, m, b, err))
-		}
-		c.metrics.fetchFailures.Add(1)
-		return s.recomputeBucket(m, b)
-	}
-	if owner != sd.t.Rank() {
-		c.metrics.remoteFetches.Add(1)
-		c.metrics.remoteFetchedBytes.Add(int64(len(blob)))
-	}
-	rows, derr := spill.DecodeRows(blob, sd.codec)
-	if derr != nil {
-		panic(fmt.Errorf("dataflow: %s: decode bucket (%d,%d): %w", s.name, m, b, derr))
-	}
-	return rows
+	s.ctx.metrics.fetchFailures.Add(1)
+	return s.recomputeBucket(m, b)
 }
 
-// streamBucket pulls one bucket through the transport's streaming
-// path. The second return is false when the bucket must be recomputed
-// from lineage (owner dead or stream torn down mid-transfer); payload
-// corruption — a decode failure with no transport error behind it —
-// panics, because recomputing deterministic lineage would produce the
-// same bytes.
-func (s *lazyBuckets[T]) streamBucket(st StreamTransport, owner, m, b int, key string) ([]T, bool) {
-	sd := s.spmd
-	c := s.ctx
-	rc, err := st.FetchReader(owner, key)
+// fetchRows streams the blob key from owner and decodes its rows as
+// chunks arrive. The second return is false when the blob must be
+// recomputed from lineage (owner dead or stream torn down
+// mid-transfer); payload corruption — a decode failure with no
+// transport error behind it — panics, because recomputing
+// deterministic lineage would produce the same bytes. So does losing a
+// blob this rank published itself. name labels the consumer in panics.
+func fetchRows[T any](c *Context, t Transport, codec spill.Codec[T], owner int, key, name string) ([]T, bool) {
+	local := owner == t.Rank()
+	rc, err := t.FetchReader(owner, key)
 	if err != nil {
-		if owner == sd.t.Rank() {
-			panic(fmt.Errorf("dataflow: %s: local bucket (%d,%d) lost: %w", s.name, m, b, err))
+		if local {
+			panic(fmt.Errorf("dataflow: %s: local blob %s lost: %w", name, key, err))
 		}
 		return nil, false
 	}
 	cr := &countingReader{r: rc}
-	rows, derr := spill.DecodeRowsFrom(cr, sd.codec)
+	rows, derr := spill.DecodeRowsFrom(cr, codec)
 	if derr == nil {
 		// Drain the trailing stream terminator so a cleanly-finished
 		// connection goes back to the transport's pool on Close.
@@ -320,22 +287,22 @@ func (s *lazyBuckets[T]) streamBucket(st StreamTransport, owner, m, b int, key s
 	rc.Close()
 	if derr != nil {
 		if te := transportErr(rc); te != nil {
-			if owner == sd.t.Rank() {
-				panic(fmt.Errorf("dataflow: %s: local bucket (%d,%d) lost: %w", s.name, m, b, te))
+			if local {
+				panic(fmt.Errorf("dataflow: %s: local blob %s lost: %w", name, key, te))
 			}
 			return nil, false
 		}
-		panic(fmt.Errorf("dataflow: %s: decode bucket (%d,%d): %w", s.name, m, b, derr))
+		panic(fmt.Errorf("dataflow: %s: decode blob %s: %w", name, key, derr))
 	}
-	if owner != sd.t.Rank() {
+	if !local {
 		c.metrics.remoteFetches.Add(1)
 		c.metrics.remoteFetchedBytes.Add(cr.n)
 	}
 	return rows, true
 }
 
-// countingReader counts the (decompressed) bytes a streaming fetch
-// delivered, for the RemoteFetchedBytes metric.
+// countingReader counts the bytes a streaming fetch delivered, for the
+// RemoteFetchedBytes metric.
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -396,17 +363,11 @@ func spmdGather[T any](c *Context, st *Stage, n int, compute func(p int) []T) []
 // spmdFetchPartial fetches one action partial from its owner, falling
 // back to local recompute when the owner is gone.
 func spmdFetchPartial[T any](c *Context, st *Stage, t Transport, codec spill.Codec[T], p int, compute func(p int) []T) []T {
-	blob, err := t.Fetch(p%t.World(), gatherKey(st.id, p))
-	if err != nil {
+	rows, ok := fetchRows(c, t, codec, p%t.World(), gatherKey(st.id, p), st.name)
+	if !ok {
 		c.metrics.fetchFailures.Add(1)
 		c.metrics.resubmissions.Add(1)
 		return compute(p)
-	}
-	c.metrics.remoteFetches.Add(1)
-	c.metrics.remoteFetchedBytes.Add(int64(len(blob)))
-	rows, derr := spill.DecodeRows(blob, codec)
-	if derr != nil {
-		panic(fmt.Errorf("dataflow: %s: decode partial %d: %w", st.name, p, derr))
 	}
 	return rows
 }
@@ -419,10 +380,12 @@ func spmdGatherOne[T any](c *Context, st *Stage, p int, compute func() []T) []T 
 	t := c.conf.Transport
 	codec := spill.For[T]()
 	if c.owns(p) {
+		start := time.Now()
 		rows := compute()
 		if err := t.Publish(gatherKey(st.id, p), encodeRows(rows, codec)); err != nil {
 			panic(fmt.Errorf("dataflow: %s: publish partial %d: %w", st.name, p, err))
 		}
+		st.noteTaskDur(p, time.Since(start))
 		c.metrics.tasks.Add(1)
 		st.tasks.Add(1)
 		return rows

@@ -90,7 +90,8 @@ func (t *memTransport) Publish(key string, blob []byte) error {
 	return nil
 }
 
-func (t *memTransport) Fetch(rank int, key string) ([]byte, error) {
+// wait blocks until rank publishes key, failing once rank is dead.
+func (t *memTransport) wait(rank int, key string) ([]byte, error) {
 	h := t.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -105,13 +106,12 @@ func (t *memTransport) Fetch(rank int, key string) ([]byte, error) {
 	}
 }
 
-// FetchReader makes memTransport a StreamTransport, so the SPMD suite
-// exercises the chunk-streaming consumption path: the blob is handed
-// back in small reads (forcing incremental decode), a peer death
-// mid-stream surfaces as a transport error, and tearStreams injects
-// torn connections.
+// FetchReader hands the blob back in small reads (forcing incremental
+// decode), so the SPMD suite exercises the streaming consumption path:
+// a peer death mid-stream surfaces as a transport error, and
+// tearStreams injects torn connections.
 func (t *memTransport) FetchReader(rank int, key string) (io.ReadCloser, error) {
-	blob, err := t.Fetch(rank, key)
+	blob, err := t.wait(rank, key)
 	if err != nil {
 		return nil, err
 	}
@@ -225,11 +225,6 @@ func runSPMDProgram(ctx *Context) spmdResult {
 // returning each rank's result, metrics, and panic value (nil when the
 // rank completed).
 func runRanks(hub *memHub, world int) ([]spmdResult, []MetricsSnapshot, []any) {
-	return runRanksConf(hub, world, nil)
-}
-
-// runRanksConf is runRanks with a per-rank Config hook.
-func runRanksConf(hub *memHub, world int, tweak func(*Config)) ([]spmdResult, []MetricsSnapshot, []any) {
 	results := make([]spmdResult, world)
 	metrics := make([]MetricsSnapshot, world)
 	panics := make([]any, world)
@@ -239,15 +234,11 @@ func runRanksConf(hub *memHub, world int, tweak func(*Config)) ([]spmdResult, []
 		go func(r int) {
 			defer wg.Done()
 			defer func() { panics[r] = recover() }()
-			conf := Config{
+			ctx := NewContext(Config{
 				Parallelism: 2,
 				Transport:   hub.transport(r),
 				WorkerTag:   fmt.Sprintf("worker-%d", r),
-			}
-			if tweak != nil {
-				tweak(&conf)
-			}
-			ctx := NewContext(conf)
+			})
 			defer ctx.Close()
 			results[r] = runSPMDProgram(ctx)
 			metrics[r] = ctx.Metrics()
@@ -473,32 +464,38 @@ func TestSPMDStreamTearRecomputes(t *testing.T) {
 	}
 }
 
-// TestSPMDLegacyBlobParity runs the same program over the whole-blob
-// (PR 5) fetch path via DisableStreamFetch and checks it remains
-// byte-identical to both the local reference and the streaming path.
-func TestSPMDLegacyBlobParity(t *testing.T) {
-	local := NewContext(Config{Parallelism: 2})
-	defer local.Close()
-	want := runSPMDProgram(local)
-
+// TestSPMDStageStatsCountOwnedTasks: a rank's per-stage task-duration
+// and records distributions cover exactly the tasks it owns (i % world
+// == rank), not a zero for every peer-owned task.
+func TestSPMDStageStatsCountOwnedTasks(t *testing.T) {
 	const world = 3
-	legacy, _, panics := runRanksConf(newMemHub(world), world,
-		func(c *Config) { c.DisableStreamFetch = true })
+	_, metrics, panics := runRanks(newMemHub(world), world)
+	tasks := map[int64]int{} // stage ID -> tasks run across all ranks
 	for r := 0; r < world; r++ {
 		if panics[r] != nil {
-			t.Fatalf("rank %d panicked on legacy path: %v", r, panics[r])
+			t.Fatalf("rank %d panicked: %v", r, panics[r])
 		}
-		if !reflect.DeepEqual(legacy[r], want) {
-			t.Errorf("rank %d legacy-blob result differs from local", r)
+		for _, st := range metrics[r].PerStage {
+			tasks[st.ID] += int(st.Tasks)
 		}
 	}
-	streaming, _, panics := runRanks(newMemHub(world), world)
 	for r := 0; r < world; r++ {
-		if panics[r] != nil {
-			t.Fatalf("rank %d panicked on streaming path: %v", r, panics[r])
+		if len(metrics[r].PerStage) == 0 {
+			t.Fatalf("rank %d recorded no stages", r)
 		}
-		if !reflect.DeepEqual(streaming[r], legacy[r]) {
-			t.Errorf("rank %d: streaming and legacy-blob paths disagree", r)
+		for _, st := range metrics[r].PerStage {
+			n := tasks[st.ID]
+			owned := (n - r + world - 1) / world
+			if int(st.Tasks) != owned {
+				t.Errorf("rank %d stage %s: ran %d tasks, owns %d of %d", r, st.Name, st.Tasks, owned, n)
+			}
+			if st.TaskDur.N != owned || st.PartRecords.N != owned {
+				t.Errorf("rank %d stage %s: task-duration N=%d, records N=%d, want the %d owned of %d tasks",
+					r, st.Name, st.TaskDur.N, st.PartRecords.N, owned, n)
+			}
+			if st.TaskDur.N > 0 && st.TaskDur.ArgMax%world != r {
+				t.Errorf("rank %d stage %s: slowest task %d is not owned", r, st.Name, st.TaskDur.ArgMax)
+			}
 		}
 	}
 }

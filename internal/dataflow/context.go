@@ -99,11 +99,6 @@ type Config struct {
 	// owning peer died) the rest. nil — the default — is unchanged
 	// single-process execution. See cluster.go.
 	Transport Transport
-	// DisableStreamFetch forces whole-blob bucket fetches even when the
-	// transport supports chunk streaming (StreamTransport) — the PR 5
-	// data path, kept selectable for A/B benchmarks and as an escape
-	// hatch. Results are byte-identical either way.
-	DisableStreamFetch bool
 	// WorkerTag names this process in distributed diagnostics: stage
 	// spans gain a "worker" attribute and formatted tables a worker
 	// column. Empty for local contexts.

@@ -304,11 +304,11 @@ type MetricsSnapshot struct {
 	WireFetchedBytes int64
 	FetchRetries     int64
 	FetchGoneEvents  int64
-	// Streaming data-plane counters: WireRawBytes is what the fetched
-	// chunks decompress to (so WireRawBytes - WireFetchedBytes = bytes
-	// compression kept off the network), WireChunks counts chunks
-	// fetched, and ConnPoolHits / ConnPoolMisses count data-connection
-	// reuse vs fresh dials. Zero on local contexts.
+	// Streaming data-plane counters: WireRawBytes is the bucket bytes
+	// the fetched chunks carry (WireFetchedBytes adds each chunk's
+	// length header), WireChunks counts chunks fetched, and
+	// ConnPoolHits / ConnPoolMisses count data-connection reuse vs
+	// fresh dials. Zero on local contexts.
 	WireRawBytes   int64
 	WireChunks     int64
 	ConnPoolHits   int64
@@ -369,8 +369,8 @@ type WorkerStat struct {
 	WireFetchedBytes int64
 	FetchRetries     int64
 	FetchGoneEvents  int64
-	// Streaming data-plane counters for this rank: decompressed bytes
-	// behind the wire bytes, chunks fetched, and connection-pool reuse.
+	// Streaming data-plane counters for this rank: bucket bytes behind
+	// the wire bytes, chunks fetched, and connection-pool reuse.
 	WireRawBytes   int64
 	WireChunks     int64
 	ConnPoolHits   int64
@@ -563,10 +563,6 @@ func (s MetricsSnapshot) FormatStages() string {
 			s.FetchFailures, s.Resubmissions)
 		if s.WireFetchedBytes > 0 {
 			line += fmt.Sprintf(", %s on the wire", memory.FormatBytes(s.WireFetchedBytes))
-		}
-		if s.WireRawBytes > s.WireFetchedBytes {
-			line += fmt.Sprintf(" (%s raw, %.1fx compression)", memory.FormatBytes(s.WireRawBytes),
-				float64(s.WireRawBytes)/float64(s.WireFetchedBytes))
 		}
 		if s.WireChunks > 0 {
 			line += fmt.Sprintf(", %d chunks", s.WireChunks)

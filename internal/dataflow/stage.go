@@ -82,6 +82,28 @@ func (s *Stage) reserveStats(n int) {
 	s.statsMu.Unlock()
 }
 
+// summarizeOwned summarizes the samples of the tasks this process ran.
+// Samples are indexed by task/partition, and under a cluster transport
+// only indices i%world == rank are this rank's — the rest are zeros
+// for peers' tasks (or tallies of partials gathered from them) and are
+// dropped. xs is compacted in place; ArgMax stays a task index.
+func (c *Context) summarizeOwned(xs []int64) ([]int64, Dist) {
+	t := c.conf.Transport
+	if t == nil {
+		return xs, summarizeDist(xs)
+	}
+	rank, world := t.Rank(), t.World()
+	own := xs[:0]
+	for i := rank; i < len(xs); i += world {
+		own = append(own, xs[i])
+	}
+	d := summarizeDist(own)
+	if d.N > 0 {
+		d.ArgMax = rank + d.ArgMax*world
+	}
+	return own, d
+}
+
 // growTo extends xs with zeros to length n in one allocation.
 func growTo(xs []int64, n int) []int64 {
 	if len(xs) >= n {
@@ -162,6 +184,8 @@ func (s *Stage) ensure() {
 			durs, recs := s.taskDurNs, s.taskRecs
 			s.taskDurNs, s.taskRecs = nil, nil
 			s.statsMu.Unlock()
+			durs, taskDur := c.summarizeOwned(durs)
+			recs, partRecs := c.summarizeOwned(recs)
 			sm := StageMetric{
 				ID:            s.id,
 				Name:          s.name,
@@ -171,8 +195,8 @@ func (s *Stage) ensure() {
 				RecordsIn:     s.recordsIn.Load(),
 				RecordsOut:    s.recordsOut.Load(),
 				ShuffledBytes: s.shuffledBytes.Load(),
-				TaskDur:       summarizeDist(durs),
-				PartRecords:   summarizeDist(recs),
+				TaskDur:       taskDur,
+				PartRecords:   partRecs,
 			}
 			c.metrics.recordStage(sm)
 			obsRecordStage(sm, durs)

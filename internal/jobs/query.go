@@ -49,12 +49,6 @@ type QueryParams struct {
 	// TelemetryMs overrides the periodic telemetry flush interval in
 	// milliseconds (0 uses the default).
 	TelemetryMs int64
-	// LegacyBlob forces the PR 5 whole-blob shuffle fetch path instead
-	// of chunk streaming; NoCompress publishes shuffle buckets raw.
-	// Both exist for A/B benchmarks (BENCH_shuffle.json) and as escape
-	// hatches — results are byte-identical regardless.
-	LegacyBlob bool
-	NoCompress bool
 }
 
 // Encode serializes the params for the job message.
@@ -76,12 +70,6 @@ func (p *QueryParams) Encode() []byte {
 	}
 	if p.Trace {
 		flags |= 4
-	}
-	if p.LegacyBlob {
-		flags |= 8
-	}
-	if p.NoCompress {
-		flags |= 16
 	}
 	b = binary.AppendVarint(b, flags)
 	b = binary.AppendUvarint(b, math.Float64bits(p.ShuffleCostNsPerByte))
@@ -121,12 +109,12 @@ func DecodeQueryParams(b []byte) (QueryParams, error) {
 	p.SeedA = i()
 	p.SeedB = i()
 	p.Partitions = i()
+	// Flag bits 8 and 16 are reserved (retired wire-mode switches) and
+	// ignored.
 	flags := i()
 	p.DisableGBJ = flags&1 != 0
 	p.DisableRBK = flags&2 != 0
 	p.Trace = flags&4 != 0
-	p.LegacyBlob = flags&8 != 0
-	p.NoCompress = flags&16 != 0
 	p.ShuffleCostNsPerByte = math.Float64frombits(u())
 	p.TelemetryMs = i()
 	if p.Src == "" || p.N <= 0 || p.Tile <= 0 {
@@ -146,12 +134,10 @@ func init() {
 			pump = newTelemetryPump(env.Telemetry,
 				time.Duration(p.TelemetryMs)*time.Millisecond, p.Trace)
 		}
-		env.Exchange.SetCompression(!p.NoCompress)
 		blob, snap, err := runQuery(p, env.World, func(c *core.Config) {
 			c.Parallelism = env.Parallelism
 			c.MemoryBudget = env.MemoryBudget
 			c.Transport = env.Exchange
-			c.DisableStreamFetch = p.LegacyBlob
 			c.WorkerTag = env.WorkerTag
 		}, pump)
 		return blob, reportFrom(snap), err

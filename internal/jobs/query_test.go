@@ -2,7 +2,9 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -53,7 +55,8 @@ func startTestCluster(t *testing.T, workers int) *cluster.Driver {
 
 // TestClusterQueryMatchesLocal is the acceptance-criteria parity test
 // in-process: a 3-worker cluster must return byte-identical results to
-// the local backend on the Fig-4 query set.
+// the local backend on the Fig-4 query set, with every shuffle moving
+// over the chunk-streaming wire.
 func TestClusterQueryMatchesLocal(t *testing.T) {
 	d := startTestCluster(t, 3)
 	for _, q := range fig4Queries {
@@ -82,6 +85,15 @@ func TestClusterQueryMatchesLocal(t *testing.T) {
 			m := csq.Metrics()
 			if len(m.PerWorker) != 3 || m.Tasks == 0 {
 				t.Fatalf("bad aggregated snapshot: %+v", m)
+			}
+			// The shuffle crossed the wire as chunk streams, and on-wire
+			// bytes exceed the bucket bytes only by each chunk's length
+			// header.
+			if m.WireChunks == 0 || m.WireRawBytes == 0 {
+				t.Fatalf("wire path not exercised: %d chunks, %d bytes", m.WireChunks, m.WireRawBytes)
+			}
+			if m.WireFetchedBytes < m.WireRawBytes || m.WireFetchedBytes > m.WireRawBytes+16*m.WireChunks {
+				t.Fatalf("wire bytes (%d) not bucket bytes (%d) + framing", m.WireFetchedBytes, m.WireRawBytes)
 			}
 		})
 	}
@@ -149,4 +161,27 @@ func TestClusterQueryWorkerKill(t *testing.T) {
 		t.Logf("cost=%vns/B: query finished before the kill bit; retrying slower", costNs)
 	}
 	t.Skip("query completed before worker loss at every simulated cost; parity still verified")
+}
+
+// TestQueryParamsReservedFlagBits: params round-trip, and a blob with
+// the retired wire-mode flag bits (8 and 16) set decodes exactly as if
+// they were clear.
+func TestQueryParamsReservedFlagBits(t *testing.T) {
+	p := QueryParams{Src: "A", N: 4, Tile: 2, SeedA: 1, SeedB: 2, Partitions: 3,
+		DisableRBK: true, Trace: true, ShuffleCostNsPerByte: 1.5, TelemetryMs: 7}
+	got, err := DecodeQueryParams(p.Encode())
+	if err != nil || got != p {
+		t.Fatalf("round trip: %+v %v", got, err)
+	}
+	var b []byte
+	b = binary.AppendUvarint(b, uint64(len(p.Src)))
+	b = append(b, p.Src...)
+	for _, v := range []int64{p.N, p.Tile, p.SeedA, p.SeedB, p.Partitions, 2 | 4 | 8 | 16} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = binary.AppendUvarint(b, math.Float64bits(p.ShuffleCostNsPerByte))
+	b = binary.AppendVarint(b, p.TelemetryMs)
+	if got, err := DecodeQueryParams(b); err != nil || got != p {
+		t.Fatalf("reserved bits not ignored: %+v %v", got, err)
+	}
 }

@@ -6,12 +6,10 @@ import (
 	"time"
 )
 
-// TestClusterStreamingModesParity proves the A/B escape hatches really
-// are escape hatches: the default chunk-streaming path, the PR 5
-// whole-blob consumption path (LegacyBlob), and uncompressed publishes
-// (NoCompress) must all return byte-identical results to the local
-// backend — and the default mode must actually stream (chunk counters
-// move).
+// TestClusterStreamingModesParity runs the GBJ query over the one shuffle
+// wire mode, chunk streaming of uncompressed buckets: the result must be
+// byte-identical to the local backend, the chunk counters must move, and
+// on-wire bytes may exceed the raw bytes only by per-chunk framing.
 func TestClusterStreamingModesParity(t *testing.T) {
 	d := startTestCluster(t, 3)
 	p := baseParams()
@@ -20,46 +18,27 @@ func TestClusterStreamingModesParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
-	modes := []struct {
-		name               string
-		legacy, noCompress bool
-	}{
-		{"streaming-compressed", false, false},
-		{"streaming-raw", false, true},
-		{"legacy-blob", true, false},
-		{"legacy-blob-raw", true, true},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			base := baseParams()
-			base.LegacyBlob = m.legacy
-			base.NoCompress = m.noCompress
-			cs := NewClusterSession(d, base, time.Minute)
-			got, _, err := cs.Query(p.Src)
-			if err != nil {
-				t.Fatalf("cluster (%s): %v", m.name, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s result differs from local: %s vs %s",
-					m.name, FormatResult(got), FormatResult(want))
-			}
-			snap := cs.Metrics()
-			if snap.WireChunks == 0 {
-				t.Fatalf("%s: no stream chunks counted — wire path not exercised", m.name)
-			}
-			if snap.WireRawBytes == 0 {
-				t.Fatalf("%s: WireRawBytes not counted", m.name)
-			}
-			// On-wire bytes may exceed the raw payload only by the
-			// per-chunk frame header (flags byte + rawLen varint).
-			if slack := 16 * snap.WireChunks; snap.WireFetchedBytes > snap.WireRawBytes+slack {
-				t.Fatalf("%s: wire bytes (%d) exceed raw bytes (%d) + framing slack",
-					m.name, snap.WireFetchedBytes, snap.WireRawBytes)
-			}
-			if !m.noCompress && snap.WireFetchedBytes >= snap.WireRawBytes {
-				t.Fatalf("%s: compression saved nothing: wire=%d raw=%d",
-					m.name, snap.WireFetchedBytes, snap.WireRawBytes)
-			}
-		})
-	}
+	t.Run("streaming-raw", func(t *testing.T) {
+		cs := NewClusterSession(d, baseParams(), time.Minute)
+		got, _, err := cs.Query(p.Src)
+		if err != nil {
+			t.Fatalf("cluster: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("result differs from local: %s vs %s", FormatResult(got), FormatResult(want))
+		}
+		snap := cs.Metrics()
+		if snap.WireChunks == 0 {
+			t.Fatal("no stream chunks counted — wire path not exercised")
+		}
+		if snap.WireRawBytes == 0 {
+			t.Fatal("WireRawBytes not counted")
+		}
+		// On-wire bytes may exceed the raw payload only by the
+		// per-chunk length header.
+		if slack := 16 * snap.WireChunks; snap.WireFetchedBytes > snap.WireRawBytes+slack {
+			t.Fatalf("wire bytes (%d) exceed raw bytes (%d) + framing slack",
+				snap.WireFetchedBytes, snap.WireRawBytes)
+		}
+	})
 }

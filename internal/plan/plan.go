@@ -339,12 +339,7 @@ func (q *Compiled) ExecuteInSpan(tr *trace.Tracer, parent *trace.Span) (*Result,
 		ctx.SetTracer(nil)
 		ex.End()
 	}()
-	res, err := q.Execute()
-	if err != nil {
-		return nil, err
-	}
-	forceResult(res)
-	return res, nil
+	return q.execute(true)
 }
 
 // ExecuteAndForce runs the query and materializes lazy results before
@@ -354,12 +349,7 @@ func (q *Compiled) ExecuteInSpan(tr *trace.Tracer, parent *trace.Span) (*Result,
 // are persisted by the forcing, so later renderings do not repeat the
 // work.
 func (q *Compiled) ExecuteAndForce() (*Result, error) {
-	res, err := q.Execute()
-	if err != nil {
-		return nil, err
-	}
-	forceResult(res)
-	return res, nil
+	return q.execute(true)
 }
 
 // forceResult materializes lazy result datasets (persisting them, so
@@ -515,9 +505,19 @@ func Run(e comp.Expr, cat *Catalog, opts opt.Options) (*Result, error) {
 }
 
 // Execute runs the compiled query.
-func (q *Compiled) Execute() (res *Result, err error) {
+func (q *Compiled) Execute() (*Result, error) {
+	return q.execute(false)
+}
+
+// execute runs the query and, when force is set, materializes lazy
+// results. Both happen under one recover: lazy stages run during the
+// forcing, so a runtime error there (say, an integer modulo by zero in
+// a tile kernel) becomes an error value like any other, not a panic
+// escaping to the caller.
+func (q *Compiled) execute(force bool) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			res = nil
 			if rerr, ok := r.(error); ok {
 				err = fmt.Errorf("plan: execution failed: %w", rerr)
 				return
@@ -525,6 +525,15 @@ func (q *Compiled) Execute() (res *Result, err error) {
 			err = fmt.Errorf("plan: execution failed: %v", r)
 		}
 	}()
+	res, err = q.dispatch()
+	if err == nil && force {
+		forceResult(res)
+	}
+	return res, err
+}
+
+// dispatch runs the executor for the chosen strategy.
+func (q *Compiled) dispatch() (*Result, error) {
 	if q.reduce != "" {
 		return q.execTotalReduce()
 	}

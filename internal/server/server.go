@@ -468,6 +468,12 @@ func (s *Server) Handler() http.Handler {
 		}
 		sink = &eventSink{}
 		resp, herr := s.runQuery(src, sink, commit)
+		if herr != nil && sink.w != nil {
+			// Failed after admission: the 200 header is out, so the
+			// error closes the stream as its last NDJSON event.
+			sink.emit(map[string]any{"event": "error", "error": herr.body.Error, "reason": herr.body.Reason})
+			return
+		}
 		if herr != nil {
 			writeErr(w, herr)
 			return

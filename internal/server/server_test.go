@@ -245,6 +245,44 @@ func TestStreamEndpoint(t *testing.T) {
 	}
 }
 
+// TestPoisonQueryReturnsError: a query whose lazy stage fails at run
+// time (integer modulo by zero) gets an error body from both query
+// endpoints — a 500 from /query, a final error event from
+// /query/stream — and the server keeps answering.
+func TestPoisonQueryReturnsError(t *testing.T) {
+	s, ts := newTestServer(t, Config{Sessions: 1, StreamInterval: 5 * time.Millisecond})
+	if err := s.RegisterRandMatrix("M", 8, 8, 0, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	const poison = "tiled(8,8)[ ((i,j), m + (i%0)) | ((i,j),m) <- M ]"
+	if _, code, e := postQuery(t, ts.URL, poison); code != http.StatusInternalServerError ||
+		e.Reason != "execute" || !strings.Contains(e.Error, "modulo by zero") {
+		t.Fatalf("/query: HTTP %d %+v, want a 500 execute error", code, e)
+	}
+
+	body, _ := json.Marshal(map[string]string{"query": poison})
+	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last map[string]any
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		last = nil
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+	}
+	if last["event"] != "error" || !strings.Contains(fmt.Sprint(last["error"]), "modulo by zero") {
+		t.Fatalf("/query/stream: last event %v, want the modulo-by-zero error", last)
+	}
+
+	if _, code, e := postQuery(t, ts.URL, "+/[ m | ((i,j),m) <- M ]"); code != http.StatusOK {
+		t.Fatalf("good query after poison: HTTP %d %+v", code, e)
+	}
+}
+
 func TestStreamRejectionIsPlainError(t *testing.T) {
 	s, ts := newTestServer(t, Config{Sessions: 1, AdmissionBudget: 1 << 10})
 	if err := s.RegisterRandMatrix("BIG", 128, 128, 0, 1, 9); err != nil {

@@ -1,10 +1,10 @@
 package spill
 
-// LZ4-style block compression for shuffle chunks. The cluster data
-// plane compresses each chunk of a published bucket before it crosses
-// the wire (see internal/cluster's exchange); spill owns the codec so
-// the same fuzzers that harden the stream primitives cover it, and so
-// run files can adopt it later without a new dependency.
+// LZ4-style block compression. The shuffle wire does not use it: on the
+// cluster GBJ it saved under a fifth of the bytes while costing more
+// wall-clock than it saved, so chunks cross uncompressed. It stays a
+// library, with its fuzzers, for the layer benchmark in perfbench and
+// for run files that may adopt it later without a new dependency.
 //
 // The format is a greedy LZ77 with varint-coded sequences — the same
 // family as LZ4's block format, restated in this package's varint
@@ -16,9 +16,8 @@ package spill
 //	trailer  := uvarint(litLen) literal*litLen   (no match; ends the block)
 //
 // The decompressed length is NOT part of the block — callers carry it
-// out of band (the chunk frame header does), which is also what makes
-// DecompressBlock's output allocation exactly right and corruption
-// detectable: a block that does not decode to exactly rawLen bytes is
+// out of band, which is also what makes DecompressBlock's output
+// allocation exactly right and corruption detectable: a block that does not decode to exactly rawLen bytes is
 // an error, never a panic or an over-allocation.
 
 import (
