@@ -85,7 +85,7 @@ func BenchmarkFig4B_Multiply_SACGBJ(b *testing.B) {
 			x, y := tiledPair(ctx, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dataflow.Count(x.MultiplyGBJ(y).Tiles)
+				dataflow.Count(tiled.Contract(x, y, tiled.Contraction{}).Tiles)
 			}
 		})
 	}
@@ -98,7 +98,7 @@ func BenchmarkFig4B_Multiply_SACJoinGroupBy(b *testing.B) {
 			x, y := tiledPair(ctx, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dataflow.Count(x.MultiplyGroupByKey(y).Tiles)
+				dataflow.Count(tiled.Contract(x, y, tiled.Contraction{Strategy: tiled.GroupByKey}).Tiles)
 			}
 		})
 	}
@@ -172,7 +172,7 @@ func BenchmarkAblation_Rule13_ReduceByKey(b *testing.B) {
 	x, y := tiledPair(ctx, 400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dataflow.Count(x.Multiply(y).Tiles)
+		dataflow.Count(tiled.Contract(x, y, tiled.Contraction{Strategy: tiled.ReduceByKey}).Tiles)
 	}
 }
 
@@ -181,7 +181,7 @@ func BenchmarkAblation_Rule13_GroupByKey(b *testing.B) {
 	x, y := tiledPair(ctx, 400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dataflow.Count(x.MultiplyGroupByKey(y).Tiles)
+		dataflow.Count(tiled.Contract(x, y, tiled.Contraction{Strategy: tiled.GroupByKey}).Tiles)
 	}
 }
 
@@ -354,7 +354,7 @@ func BenchmarkKernels_GBJMultiplyPooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.MultiplyGBJ(y).Drain()
+		tiled.Contract(x, y, tiled.Contraction{}).Drain()
 	}
 	b.StopTimer()
 	st := ctx.TilePool().Stats()

@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -171,8 +172,11 @@ func newCtx(cfg Config) *dataflow.Context {
 func closeCtx(ctx *dataflow.Context) { _ = ctx.Close() }
 
 // measure times fn and returns (seconds, the metrics the run accrued).
+// It collects garbage first, as testing.B does, so a run does not pay
+// for the heap the previous system left behind.
 func measure(ctx *dataflow.Context, fn func()) (float64, dataflow.MetricsSnapshot) {
 	ctx.ResetMetrics()
+	runtime.GC()
 	start := time.Now()
 	fn()
 	return time.Since(start).Seconds(), ctx.Metrics()
@@ -237,7 +241,7 @@ func Fig4B(cfg Config, sizes []int64) Series {
 			b := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 2)
 			force(ctx, a.Tiles)
 			force(ctx, b.Tiles)
-			sec, m := measure(ctx, func() { forceBlocks(a.MultiplyGroupByKey(b).Tiles) })
+			sec, m := measure(ctx, func() { forceBlocks(tiled.Contract(a, b, tiled.Contraction{Strategy: tiled.GroupByKey}).Tiles) })
 			p.record("SAC", sec, m)
 			closeCtx(ctx)
 		}
@@ -247,7 +251,7 @@ func Fig4B(cfg Config, sizes []int64) Series {
 			b := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 2)
 			force(ctx, a.Tiles)
 			force(ctx, b.Tiles)
-			sec, m := measure(ctx, func() { forceBlocks(a.MultiplyGBJ(b).Tiles) })
+			sec, m := measure(ctx, func() { forceBlocks(tiled.Contract(a, b, tiled.Contraction{}).Tiles) })
 			p.record("SAC GBJ", sec, m)
 			closeCtx(ctx)
 		}
@@ -320,7 +324,7 @@ func AblationTileSize(cfg Config, n int64, tileSizes []int) Series {
 		force(ctx, a.Tiles)
 		force(ctx, b.Tiles)
 		name := fmt.Sprintf("N=%d", ts)
-		sec, m := measure(ctx, func() { forceBlocks(a.MultiplyGBJ(b).Tiles) })
+		sec, m := measure(ctx, func() { forceBlocks(tiled.Contract(a, b, tiled.Contraction{}).Tiles) })
 		p.record(name, sec, m)
 		closeCtx(ctx)
 	}
@@ -343,9 +347,9 @@ func AblationReduceByKey(cfg Config, sizes []int64) Series {
 			force(ctx, b.Tiles)
 			var fn func()
 			if variant == "reduceByKey" {
-				fn = func() { forceBlocks(a.Multiply(b).Tiles) }
+				fn = func() { forceBlocks(tiled.Contract(a, b, tiled.Contraction{Strategy: tiled.ReduceByKey}).Tiles) }
 			} else {
-				fn = func() { forceBlocks(a.MultiplyGroupByKey(b).Tiles) }
+				fn = func() { forceBlocks(tiled.Contract(a, b, tiled.Contraction{Strategy: tiled.GroupByKey}).Tiles) }
 			}
 			sec, m := measure(ctx, fn)
 			p.record(variant, sec, m)
@@ -372,7 +376,7 @@ func AblationCoordinate(cfg Config, sizes []int64) Series {
 			b := tiled.FromDense(ctx, db, cfg.TileSize, cfg.Partitions)
 			force(ctx, a.Tiles)
 			force(ctx, b.Tiles)
-			sec, m := measure(ctx, func() { forceBlocks(a.MultiplyGBJ(b).Tiles) })
+			sec, m := measure(ctx, func() { forceBlocks(tiled.Contract(a, b, tiled.Contraction{}).Tiles) })
 			p.record("tiled", sec, m)
 			closeCtx(ctx)
 		}
@@ -403,7 +407,7 @@ func StageBreakdown(cfg Config, n int64) string {
 	force(ctx, a.Tiles)
 	force(ctx, b.Tiles)
 	ctx.ResetMetrics()
-	forceBlocks(a.MultiplyGBJ(b).Tiles)
+	forceBlocks(tiled.Contract(a, b, tiled.Contraction{}).Tiles)
 	var out strings.Builder
 	fmt.Fprintf(&out, "# Per-stage breakdown — SAC GBJ multiply, n=%d, tile=%d, %d partitions\n",
 		n, cfg.TileSize, cfg.Partitions)
@@ -431,7 +435,7 @@ func TracedGBJ(cfg Config, n int64) (*trace.Tracer, string) {
 	ctx.SetTracer(tr)
 	ctx.SetTraceRoot(root)
 	before := ctx.Metrics()
-	forceBlocks(a.MultiplyGBJ(b).Tiles)
+	forceBlocks(tiled.Contract(a, b, tiled.Contraction{}).Tiles)
 	ctx.SetTracer(nil)
 	root.End()
 

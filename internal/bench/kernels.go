@@ -72,9 +72,9 @@ func kernelsPoolLine(cfg Config) string {
 	b := tiled.RandMatrix(ctx, n, n, cfg.TileSize, cfg.Partitions, 0, 10, 2)
 	force(ctx, a.Tiles)
 	force(ctx, b.Tiles)
-	a.MultiplyGBJ(b).Drain() // populate the pool
+	tiled.Contract(a, b, tiled.Contraction{}).Drain() // populate the pool
 	ctx.ResetMetrics()
-	a.MultiplyGBJ(b).Drain()
+	tiled.Contract(a, b, tiled.Contraction{}).Drain()
 	st := ctx.TilePool().Stats()
 	gets := st.Hits + st.Misses
 	pct := 0.0

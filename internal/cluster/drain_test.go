@@ -154,3 +154,25 @@ func TestWorkerDrainTimeout(t *testing.T) {
 		t.Fatalf("worker not shut down after drain timeout: %v", err)
 	}
 }
+
+// TestWorkerDrainRacingAssignment: a drain that races a job assignment
+// never loses the job with the connection. The draining rank either
+// runs the job, refuses it, or is left out of it; it is never counted
+// lost, and the drain itself completes cleanly.
+func TestWorkerDrainRacingAssignment(t *testing.T) {
+	for i := 0; i < 30; i++ {
+		d, ws := startCluster(t, 2, 3*time.Second)
+		drained := make(chan error, 1)
+		go func() { drained <- ws[1].Drain(5 * time.Second) }()
+		res, err := d.Run("test.echo", []byte("x"), 5*time.Second)
+		if err != nil {
+			t.Fatalf("round %d: the surviving rank must still answer: %v", i, err)
+		}
+		if res.LostWorkers > 0 {
+			t.Fatalf("round %d: draining worker counted lost (%d lost)", i, res.LostWorkers)
+		}
+		if err := <-drained; err != nil {
+			t.Fatalf("round %d: drain: %v", i, err)
+		}
+	}
+}

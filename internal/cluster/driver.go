@@ -31,10 +31,15 @@ type workerState struct {
 	memBudget   int64
 
 	conn net.Conn
-	wmu  sync.Mutex // guards conn writes (Job/JobEnd vs nothing else)
+	wmu  sync.Mutex // guards conn writes (Job, JobEnd, DrainAck)
 
 	lastBeat time.Time
 	alive    bool
+	// draining is set by the worker's msgDrain: it takes no new jobs.
+	// dispatching counts jobs that picked it but have not yet written
+	// their msgJob; the drain ack waits for it to reach zero.
+	draining    bool
+	dispatching int
 }
 
 func (ws *workerState) send(typ byte, payload []byte) error {
@@ -233,6 +238,17 @@ func (d *Driver) handleWorker(conn net.Conn) {
 				d.cond.Broadcast()
 			}
 			d.mu.Unlock()
+		case msgDrain:
+			d.mu.Lock()
+			ws.draining = true
+			for ws.dispatching > 0 && !d.closed {
+				d.cond.Wait()
+			}
+			d.mu.Unlock()
+			if err := ws.send(msgDrainAck, nil); err != nil {
+				d.dropWorker(ws)
+				return
+			}
 		case msgTelemetry:
 			tm, err := decodeTelemetry(payload)
 			if err != nil {
@@ -300,7 +316,8 @@ func (d *Driver) monitor() {
 	}
 }
 
-// WaitForWorkers blocks until n workers are registered and alive.
+// WaitForWorkers blocks until n workers are registered, alive and not
+// draining.
 func (d *Driver) WaitForWorkers(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
@@ -329,7 +346,7 @@ func (d *Driver) WaitForWorkers(n int, timeout time.Duration) error {
 func (d *Driver) liveWorkersLocked() []*workerState {
 	live := make([]*workerState, 0, len(d.workers))
 	for _, ws := range d.workers {
-		if ws.alive {
+		if ws.alive && !ws.draining {
 			live = append(live, ws)
 		}
 	}
@@ -433,6 +450,7 @@ func (d *Driver) Run(program string, params []byte, timeout time.Duration) (*Run
 	peers := make([]string, len(ranks))
 	for r, ws := range ranks {
 		peers[r] = ws.dataAddr
+		ws.dispatching++
 	}
 	d.mu.Unlock()
 
@@ -448,6 +466,10 @@ func (d *Driver) Run(program string, params []byte, timeout time.Duration) (*Run
 		if err := ws.send(msgJob, msg.encode()); err != nil {
 			d.dropWorker(ws)
 		}
+		d.mu.Lock()
+		ws.dispatching--
+		d.cond.Broadcast()
+		d.mu.Unlock()
 	}
 
 	deadline := time.Now().Add(timeout)

@@ -42,13 +42,20 @@ const (
 	msgStreamEnd   = byte(13) // worker -> worker: stream totals / terminator
 
 	msgRefused = byte(14) // driver -> worker: registration refused (payload: reason)
+
+	// The drain fence. A draining worker announces itself; the driver
+	// assigns it no further jobs and acks once every assignment already
+	// made is on the wire ahead of the ack.
+	msgDrain    = byte(15) // worker -> driver: draining, assign no more jobs
+	msgDrainAck = byte(16) // driver -> worker: no assignment follows this frame
 )
 
 // protoVersion is the wire protocol every binary of one cluster must
 // speak. Workers send it in msgRegister and the driver refuses any
 // other value, so mismatched binaries fail at registration rather than
-// mid-shuffle. Binaries that predate the field register as version 0.
-const protoVersion = 1
+// mid-shuffle. Binaries that predate the field register as version 0;
+// version 2 added the drain fence.
+const protoVersion = 2
 
 // maxFrame bounds a frame payload so a corrupt length prefix cannot
 // drive a giant allocation.

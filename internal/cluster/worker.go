@@ -40,9 +40,10 @@ type Worker struct {
 	active   int
 	draining bool
 
-	closed atomic.Bool
-	done   chan struct{} // closed when the control loop exits
-	err    atomic.Pointer[string]
+	closed   atomic.Bool
+	done     chan struct{} // closed when the control loop exits
+	drainAck chan struct{} // closed when the driver acks msgDrain
+	err      atomic.Pointer[string]
 }
 
 // ErrRefused marks a registration the driver answered with a refusal
@@ -74,11 +75,12 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("cluster: dial driver %s: %w", cfg.DriverAddr, err)
 	}
 	w := &Worker{
-		cfg:     cfg,
-		control: conn,
-		dataLn:  ln,
-		stores:  make(map[int64]*jobStore),
-		done:    make(chan struct{}),
+		cfg:      cfg,
+		control:  conn,
+		dataLn:   ln,
+		stores:   make(map[int64]*jobStore),
+		done:     make(chan struct{}),
+		drainAck: make(chan struct{}),
 	}
 	reg := registerMsg{
 		ID:          cfg.ID,
@@ -148,15 +150,18 @@ func (w *Worker) jobFinished() {
 }
 
 // Drain stops accepting jobs, lets in-flight work complete, then
-// disconnects. "Complete" is cluster-wide, not rank-local: the worker
-// waits both for its own running jobs AND for the driver's job-end
+// disconnects. It first fences the driver: the worker announces the
+// drain and waits for the ack, after which no job can be assigned to
+// it, so a job already on its way is refused explicitly rather than
+// lost with the connection. "Complete" is cluster-wide, not
+// rank-local: the worker waits both for its own running jobs AND for the driver's job-end
 // broadcasts that retire its exchange stores — until then peers may
 // still fetch this rank's shuffle buckets, and cutting them off would
 // force lineage resubmissions on the survivors. The rank keeps
 // heartbeating and serving data the whole time. The returned error is
 // non-nil when the deadline passed with work still pending; the worker
-// is shut down either way. Draining an idle worker disconnects it
-// immediately; a second Drain is a no-op.
+// is shut down either way. Draining an idle worker disconnects it as
+// soon as the driver acks; a second Drain is a no-op.
 func (w *Worker) Drain(timeout time.Duration) error {
 	w.amu.Lock()
 	if w.draining {
@@ -166,6 +171,13 @@ func (w *Worker) Drain(timeout time.Duration) error {
 	w.draining = true
 	w.amu.Unlock()
 	deadline := time.Now().Add(timeout)
+	if w.send(msgDrain, nil) == nil {
+		select {
+		case <-w.drainAck:
+		case <-w.done:
+		case <-time.After(timeout):
+		}
+	}
 	for {
 		w.amu.Lock()
 		active := w.active
@@ -253,6 +265,12 @@ func (w *Worker) controlLoop(br *bufio.Reader) {
 				defer w.jobFinished()
 				w.runJob(job)
 			}()
+		case msgDrainAck:
+			select {
+			case <-w.drainAck: // a duplicate ack changes nothing
+			default:
+				close(w.drainAck)
+			}
 		case msgJobEnd:
 			end, err := decodeJobEnd(payload)
 			if err == nil {

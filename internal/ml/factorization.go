@@ -56,20 +56,20 @@ func StepDense(r, p, q *linalg.Dense, cfg Config) (*linalg.Dense, *linalg.Dense)
 // group-by-join multiplications (the paper's "SAC GBJ" line) and
 // tiling-preserving updates. R is n x m, P is n x k, Q is m x k.
 func StepTiled(r, p, q *tiled.Matrix, cfg Config) (*tiled.Matrix, *tiled.Matrix) {
-	e := r.Sub(p.MultiplyTransBGBJ(q))
-	pNew := p.AXPY(2*cfg.Gamma, e.MultiplyGBJ(q)).AXPY(-cfg.Gamma*cfg.Lambda, p)
-	qNew := q.AXPY(2*cfg.Gamma, e.MultiplyTransAGBJ(p)).AXPY(-cfg.Gamma*cfg.Lambda, q)
-	return pNew, qNew
+	return stepTiled(r, p, q, cfg, tiled.GBJ)
 }
 
-// StepTiledJoin is the same computation with the non-GBJ join +
-// reduceByKey multiplications (ablation; the paper only reports GBJ
-// for factorization). Transposes are materialized since the plain
-// multiply has no transposed variants.
+// StepTiledJoin is the same computation with join + reduceByKey
+// multiplications (ablation; the paper only reports GBJ here).
 func StepTiledJoin(r, p, q *tiled.Matrix, cfg Config) (*tiled.Matrix, *tiled.Matrix) {
-	e := r.Sub(p.Multiply(q.Transpose()))
-	pNew := p.AXPY(2*cfg.Gamma, e.Multiply(q)).AXPY(-cfg.Gamma*cfg.Lambda, p)
-	qNew := q.AXPY(2*cfg.Gamma, e.Transpose().Multiply(p)).AXPY(-cfg.Gamma*cfg.Lambda, q)
+	return stepTiled(r, p, q, cfg, tiled.ReduceByKey)
+}
+
+// stepTiled contracts P Q^T, E Q and E^T P with strategy s.
+func stepTiled(r, p, q *tiled.Matrix, cfg Config, s tiled.Strategy) (*tiled.Matrix, *tiled.Matrix) {
+	e := r.Sub(tiled.Contract(p, q, tiled.Contraction{Strategy: s, TransB: true}))
+	pNew := p.AXPY(2*cfg.Gamma, tiled.Contract(e, q, tiled.Contraction{Strategy: s})).AXPY(-cfg.Gamma*cfg.Lambda, p)
+	qNew := q.AXPY(2*cfg.Gamma, tiled.Contract(e, p, tiled.Contraction{Strategy: s, TransA: true})).AXPY(-cfg.Gamma*cfg.Lambda, q)
 	return pNew, qNew
 }
 
@@ -118,5 +118,5 @@ func Factorize(r, p, q *tiled.Matrix, iters int, cfg Config) (*tiled.Matrix, *ti
 // Loss returns the squared Frobenius error ||R - P Q^T||^2 of a tiled
 // factorization, used to check that iterations decrease the objective.
 func Loss(r, p, q *tiled.Matrix) float64 {
-	return r.Sub(p.MultiplyTransBGBJ(q)).FrobeniusNorm2()
+	return r.Sub(tiled.Contract(p, q, tiled.Contraction{TransB: true})).FrobeniusNorm2()
 }

@@ -204,95 +204,34 @@ func (q *Compiled) execGroupByJoin(s *opt.GroupByJoinStrategy) (*Result, error) 
 	}
 
 	// The cost model's physical knobs (SUMMA grid, partition count) are
-	// zero unless adaptive planning is on, in which case the tuned
-	// entry points apply them; zero knobs reproduce the static plan.
-	var gridP, gridQ int64
-	var pickedParts int
+	// zero unless adaptive planning is on; zero reproduces the static
+	// plan.
+	c := tiled.Contraction{Strategy: tiled.GroupByKey}
+	switch {
+	case s.UseGBJ:
+		c.Strategy = tiled.GBJ
+	case s.UseReduceBy:
+		c.Strategy = tiled.ReduceByKey
+	}
 	if d := s.Decision; d != nil {
-		gridP, gridQ, pickedParts = d.GridP, d.GridQ, d.Parts
+		c.GridP, c.GridQ, c.Parts = d.GridP, d.GridQ, d.Parts
 	}
-
-	if isMulOfValues(s.CombineExpr, s.Lets, s.GenA.ValueVar, s.GenB.ValueVar) {
-		var out *tiled.Matrix
-		switch {
-		case s.UseGBJ:
-			out = a.MultiplyGBJTuned(b, gridP, gridQ, pickedParts)
-		case s.UseReduceBy:
-			out = a.Multiply(b)
-		default:
-			out = a.MultiplyGroupByKey(b)
-		}
-		return &Result{Matrix: out}, nil
-	}
-
-	// Generic combine h(a,b) with + monoid: same plans with an
-	// interpreted contraction kernel.
-	h := compileCell2(s.GenA, s.GenB, s.Lets, s.CombineExpr)
-	contract := func(out, x, y *linalg.Dense) {
-		for i := 0; i < x.Rows; i++ {
-			for k := 0; k < x.Cols; k++ {
-				a := x.At(i, k)
-				for j := 0; j < y.Cols; j++ {
-					out.Add(i, j, h(nil, a, y.At(k, j)))
+	if !isMulOfValues(s.CombineExpr, s.Lets, s.GenA.ValueVar, s.GenB.ValueVar) {
+		// Generic combine h(a,b) with the + monoid: the same plans with
+		// an interpreted contraction kernel.
+		h := compileCell2(s.GenA, s.GenB, s.Lets, s.CombineExpr)
+		c.Kernel = func(out, x, y *linalg.Dense) {
+			for i := 0; i < x.Rows; i++ {
+				for k := 0; k < x.Cols; k++ {
+					a := x.At(i, k)
+					for j := 0; j < y.Cols; j++ {
+						out.Add(i, j, h(nil, a, y.At(k, j)))
+					}
 				}
 			}
 		}
 	}
-	if s.UseGBJ {
-		out := tiled.GroupByJoin(a, b, tiled.GBJSpec{
-			GridP: gridP, GridQ: gridQ, Parts: pickedParts,
-			OutRows: a.Rows, OutCols: b.Cols,
-			GroupsX: b.BlockCols(), GroupsY: a.BlockRows(),
-			GX: func(c tiled.Coord) int64 { return c.I },
-			KX: func(c tiled.Coord) int64 { return c.J },
-			GY: func(c tiled.Coord) int64 { return c.J },
-			KY: func(c tiled.Coord) int64 { return c.I },
-			H: func(out, x, y *linalg.Dense, _ int) {
-				// Interpreted kernel: serial regardless of budget.
-				contract(out, x, y)
-			},
-		})
-		return &Result{Matrix: out}, nil
-	}
-	// Join + reduceByKey with the interpreted kernel. Partial-product
-	// tiles come from the context's tile pool and the dead reduce
-	// operand goes back (same ownership argument as tiled.Multiply).
-	parts := a.Tiles.NumPartitions()
-	if pickedParts > 0 {
-		parts = pickedParts
-	}
-	pool := a.Tiles.Context().TilePool()
-	left := dataflow.Map(a.Tiles, func(t tiled.Block) dataflow.Pair[int64, tiled.Block] {
-		return dataflow.KV(t.Key.J, t)
-	})
-	right := dataflow.Map(b.Tiles, func(t tiled.Block) dataflow.Pair[int64, tiled.Block] {
-		return dataflow.KV(t.Key.I, t)
-	})
-	joined := dataflow.Join(left, right, parts)
-	products := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[tiled.Block, tiled.Block]]) tiled.Block {
-		at, bt := p.Value.Left, p.Value.Right
-		c := pool.Get(a.N, a.N)
-		contract(c, at.Value, bt.Value)
-		return dataflow.KV(tiled.Coord{I: at.Key.I, J: bt.Key.J}, c)
-	})
-	var reduced *dataflow.Dataset[tiled.Block]
-	if s.UseReduceBy {
-		reduced = dataflow.ReduceByKey(products, func(x, y *linalg.Dense) *linalg.Dense {
-			linalg.AddInPlace(x, y)
-			pool.Put(y)
-			return x
-		}, parts)
-	} else {
-		grouped := dataflow.GroupByKey(products, parts)
-		reduced = dataflow.Map(grouped, func(g dataflow.Pair[tiled.Coord, []*linalg.Dense]) tiled.Block {
-			acc := pool.Get(a.N, a.N)
-			for _, t := range g.Value {
-				linalg.AddInPlace(acc, t)
-			}
-			return dataflow.KV(g.Key, acc)
-		})
-	}
-	return &Result{Matrix: &tiled.Matrix{Rows: a.Rows, Cols: b.Cols, N: a.N, Tiles: reduced}}, nil
+	return &Result{Matrix: tiled.Contract(a, b, c)}, nil
 }
 
 // aggMonoid resolves the scalar accumulation for TileAgg strategies.
@@ -480,17 +419,6 @@ func (q *Compiled) execTileAgg(s *opt.TileAggStrategy) (*Result, error) {
 	return &Result{Vector: &tiled.Vector{Size: size, N: n, Blocks: blocks}}, nil
 }
 
-// taggedTile is a tile replicated toward a destination coordinate by
-// the Rule 19 translation, remembering its source coordinate.
-type taggedTile struct {
-	Src  tiled.Coord
-	Tile *linalg.Dense
-}
-
-// NumBytes reports the real payload (coordinate + tile data) so the
-// replication shuffle is not floored at the opaque 16-byte default.
-func (t taggedTile) NumBytes() int64 { return 16 + t.Tile.NumBytes() }
-
 // execReplicate runs the Rule 19 translation: each tile is shipped to
 // the destination tile coordinates I_f(K) induced by the affine output
 // key, the shuffled tiles are grouped by destination, and each output
@@ -533,7 +461,7 @@ func (q *Compiled) execReplicate(s *opt.ReplicateStrategy) (*Result, error) {
 	rows, cols := m.Rows, m.Cols
 	keys := s.Keys
 
-	replicated := dataflow.FlatMap(m.Tiles, func(b tiled.Block) []dataflow.Pair[tiled.Coord, taggedTile] {
+	replicated := dataflow.FlatMap(m.Tiles, func(b tiled.Block) []dataflow.Pair[tiled.Coord, tiled.TaggedTile] {
 		// Per-axis destination tile sets I_f(K) (the paper's index
 		// sets): each key component depends on one source axis.
 		axisSets := make([]map[int64]bool, len(keys))
@@ -555,16 +483,16 @@ func (q *Compiled) execReplicate(s *opt.ReplicateStrategy) (*Result, error) {
 			}
 			axisSets[c] = set
 		}
-		var out []dataflow.Pair[tiled.Coord, taggedTile]
+		var out []dataflow.Pair[tiled.Coord, tiled.TaggedTile]
 		for di := range axisSets[0] {
 			for dj := range axisSets[1] {
-				out = append(out, dataflow.KV(tiled.Coord{I: di, J: dj}, taggedTile{Src: b.Key, Tile: b.Value}))
+				out = append(out, dataflow.KV(tiled.Coord{I: di, J: dj}, tiled.TaggedTile{Src: b.Key, Tile: b.Value}))
 			}
 		}
 		return out
 	})
 	grouped := dataflow.GroupByKey(replicated, m.Tiles.NumPartitions())
-	tiles := dataflow.Map(grouped, func(g dataflow.Pair[tiled.Coord, []taggedTile]) tiled.Block {
+	tiles := dataflow.Map(grouped, func(g dataflow.Pair[tiled.Coord, []tiled.TaggedTile]) tiled.Block {
 		out := linalg.NewDense(n, n)
 		for _, tt := range g.Value {
 			rowOff := tt.Src.I * n64

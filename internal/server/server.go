@@ -19,6 +19,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -692,6 +693,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		return nil
 	}
 	obsDrains.Inc()
+	deadline := time.Now().Add(timeout)
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -707,9 +709,15 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	srv := s.httpSrv
 	s.mu.Unlock()
 	if srv != nil {
-		// In-flight handlers are done (or abandoned past the deadline);
-		// Close tears the listener and connections down.
-		srv.Close()
+		// Queries are done, but their handlers may still be writing
+		// responses: a graceful HTTP shutdown waits for those writes
+		// (up to the drain deadline) before Close tears the listener
+		// and connections down.
+		ctx, cancel := context.WithDeadline(context.Background(), deadline)
+		if drainErr != nil || srv.Shutdown(ctx) != nil {
+			srv.Close()
+		}
+		cancel()
 	}
 	if err := s.pool.close(); err != nil && drainErr == nil {
 		drainErr = err

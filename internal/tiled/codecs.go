@@ -1,8 +1,8 @@
 package tiled
 
-// Spill codecs for the tiled layer's shuffle rows. taggedTile has no
-// exported fields, so the gob fallback cannot encode it — its codec is
-// load-bearing for out-of-core RotateRows, not just an optimization.
+// Spill codecs for the tiled layer's shuffle rows. Without them the
+// rows of RotateRows, plan's Rule 19 replication and the group-by-join
+// would fall back to gob on spill and on the cluster wire.
 
 import (
 	"repro/internal/dataflow"
@@ -25,14 +25,14 @@ func (entryCodec) Decode(r *spill.Reader) Entry {
 // taggedTileCodec spills a tile tagged with its source coordinate.
 type taggedTileCodec struct{}
 
-func (taggedTileCodec) Encode(w *spill.Writer, t taggedTile) {
-	dataflow.CoordCodec{}.Encode(w, t.src)
-	dataflow.DenseCodec{}.Encode(w, t.tile)
+func (taggedTileCodec) Encode(w *spill.Writer, t TaggedTile) {
+	dataflow.CoordCodec{}.Encode(w, t.Src)
+	dataflow.DenseCodec{}.Encode(w, t.Tile)
 }
 
-func (taggedTileCodec) Decode(r *spill.Reader) taggedTile {
+func (taggedTileCodec) Decode(r *spill.Reader) TaggedTile {
 	src := dataflow.CoordCodec{}.Decode(r)
-	return taggedTile{src: src, tile: dataflow.DenseCodec{}.Decode(r)}
+	return TaggedTile{Src: src, Tile: dataflow.DenseCodec{}.Decode(r)}
 }
 
 // keyedTileCodec spills a tile tagged with its SUMMA join key and
@@ -51,6 +51,6 @@ func (keyedTileCodec) Decode(r *spill.Reader) keyedTile {
 
 func init() {
 	spill.Register[Entry](entryCodec{})
-	spill.Register(dataflow.PairCodec[Coord, taggedTile](dataflow.CoordCodec{}, taggedTileCodec{}))
+	spill.Register(dataflow.PairCodec[Coord, TaggedTile](dataflow.CoordCodec{}, taggedTileCodec{}))
 	spill.Register(dataflow.PairCodec[Coord, keyedTile](dataflow.CoordCodec{}, keyedTileCodec{}))
 }

@@ -1,9 +1,8 @@
 package tiled
 
-// Round-trip tests for the tiled layer's spill codecs. taggedTile has
-// no exported fields, so its registry entry is load-bearing: if it
-// ever falls back to gob, every out-of-core RotateRows/shift shuffle
-// fails at spill time rather than degrading gracefully.
+// Round-trip tests for the tiled layer's spill codecs. The registry
+// entries keep the replication and group-by-join shuffle rows off the
+// gob fallback on spill and on the cluster wire.
 
 import (
 	"bytes"
@@ -45,18 +44,18 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 
 func TestTaggedTileCodecRoundTrip(t *testing.T) {
 	tile := &linalg.Dense{Rows: 2, Cols: 2, Data: []float64{1, math.Inf(-1), math.NaN(), -0.0}}
-	v := taggedTile{src: Coord{I: -3, J: 1 << 33}, tile: tile}
-	got := tiledRoundTrip[taggedTile](t, taggedTileCodec{}, v)
-	if got.src != v.src || got.tile.Rows != 2 || got.tile.Cols != 2 {
+	v := TaggedTile{Src: Coord{I: -3, J: 1 << 33}, Tile: tile}
+	got := tiledRoundTrip[TaggedTile](t, taggedTileCodec{}, v)
+	if got.Src != v.Src || got.Tile.Rows != 2 || got.Tile.Cols != 2 {
 		t.Fatalf("tagged tile %+v -> %+v", v, got)
 	}
 	for i := range tile.Data {
-		if math.Float64bits(got.tile.Data[i]) != math.Float64bits(tile.Data[i]) {
+		if math.Float64bits(got.Tile.Data[i]) != math.Float64bits(tile.Data[i]) {
 			t.Fatalf("payload bit drift at %d", i)
 		}
 	}
-	if got := tiledRoundTrip[taggedTile](t, taggedTileCodec{}, taggedTile{}); got.tile != nil {
-		t.Fatalf("nil tile decoded as %+v", got.tile)
+	if got := tiledRoundTrip[TaggedTile](t, taggedTileCodec{}, TaggedTile{}); got.Tile != nil {
+		t.Fatalf("nil tile decoded as %+v", got.Tile)
 	}
 }
 
@@ -69,14 +68,13 @@ func TestKeyedTileCodecRoundTrip(t *testing.T) {
 }
 
 // TestTiledShuffleRowsRegistered pins the tiled shuffle row types to
-// hand-rolled registry entries; the gob fallback cannot encode the
-// unexported-field rows at all.
+// hand-rolled registry entries rather than the gob fallback.
 func TestTiledShuffleRowsRegistered(t *testing.T) {
 	if !spill.Registered[Entry]() {
 		t.Error("Entry has no registered spill codec")
 	}
-	if !spill.Registered[dataflow.Pair[Coord, taggedTile]]() {
-		t.Error("taggedTile shuffle row has no registered spill codec")
+	if !spill.Registered[dataflow.Pair[Coord, TaggedTile]]() {
+		t.Error("TaggedTile shuffle row has no registered spill codec")
 	}
 	if !spill.Registered[dataflow.Pair[Coord, keyedTile]]() {
 		t.Error("keyedTile shuffle row has no registered spill codec")

@@ -18,7 +18,7 @@ func TestMultiplyGBJTunedGridEquality(t *testing.T) {
 	db := linalg.RandDense(20, 16, -1, 1, 22)
 	a := FromDense(ctx, da, 4, 3)
 	b := FromDense(ctx, db, 4, 3)
-	want := a.MultiplyGBJ(b).ToDense()
+	want := Contract(a, b, Contraction{}).ToDense()
 	if !want.EqualApprox(linalg.Mul(da, db), 1e-9) {
 		t.Fatal("reference GBJ multiply is itself wrong")
 	}
@@ -34,7 +34,7 @@ func TestMultiplyGBJTunedGridEquality(t *testing.T) {
 		{9, 9, 0},  // grid larger than the output: must clamp, not break
 	}
 	for _, g := range grids {
-		got := a.MultiplyGBJTuned(b, g.p, g.q, g.parts).ToDense()
+		got := Contract(a, b, Contraction{GridP: g.p, GridQ: g.q, Parts: g.parts}).ToDense()
 		if !got.Equal(want) {
 			t.Fatalf("grid %dx%d parts %d: result differs from canonical GBJ (max diff %g)",
 				g.p, g.q, g.parts, got.MaxAbsDiff(want))

@@ -84,7 +84,7 @@ func TestOutOfCoreMultiply(t *testing.T) {
 	ctx := oocCtx(t, budget)
 	a := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 1)
 	b := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 2)
-	got := a.Multiply(b).ToDense()
+	got := Contract(a, b, Contraction{Strategy: ReduceByKey}).ToDense()
 
 	want := linalg.NewDense(n, n)
 	linalg.Gemm(want, a.ToDense(), b.ToDense())
@@ -101,7 +101,7 @@ func TestOutOfCoreMultiplyGroupByKey(t *testing.T) {
 	ctx := oocCtx(t, budget)
 	a := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 3)
 	b := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 4)
-	got := a.MultiplyGroupByKey(b).ToDense()
+	got := Contract(a, b, Contraction{Strategy: GroupByKey}).ToDense()
 
 	want := linalg.NewDense(n, n)
 	linalg.Gemm(want, a.ToDense(), b.ToDense())
@@ -111,9 +111,8 @@ func TestOutOfCoreMultiplyGroupByKey(t *testing.T) {
 	checkSpilled(t, ctx, budget)
 }
 
-// TestOutOfCoreRotateRows covers the taggedTile shuffle row — the type
-// with no exported fields whose spill depends on its registered codec
-// (the gob fallback cannot encode it at all).
+// TestOutOfCoreRotateRows covers the TaggedTile shuffle row, which
+// spills through its registered codec.
 func TestOutOfCoreRotateRows(t *testing.T) {
 	budget := oocBudget()
 	const tile = 128
@@ -137,7 +136,7 @@ func TestOutOfCoreSummaMultiply(t *testing.T) {
 	ctx := oocCtx(t, budget)
 	a := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 6)
 	b := RandMatrix(ctx, int64(n), int64(n), tile, 0, 0, 1, 7)
-	got := a.MultiplyGBJ(b).ToDense()
+	got := Contract(a, b, Contraction{}).ToDense()
 
 	want := linalg.NewDense(n, n)
 	linalg.Gemm(want, a.ToDense(), b.ToDense())

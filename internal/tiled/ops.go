@@ -1,13 +1,8 @@
 package tiled
 
 import (
-	"fmt"
-	"math"
-	"time"
-
 	"repro/internal/dataflow"
 	"repro/internal/linalg"
-	"repro/internal/trace"
 )
 
 // This file implements the Section 5 operator translations:
@@ -19,8 +14,10 @@ import (
 //   - queries that do not preserve tiling (Rule 19): tile replication
 //     to the I_f(K) destination coordinates followed by a group-by
 //     (RotateRows);
-//   - group-by queries (Section 5.3): join + per-tile partial
-//     aggregation + reduceByKey over tiles (Multiply).
+//   - single-input group-by queries (Section 5.3): per-tile partial
+//     aggregation + reduceByKey (RowSums, ColSums).
+//
+// Contractions (join + group-by, the multiply shape) are in contract.go.
 
 // MapTiles applies an elementwise tile kernel, preserving tiling; the
 // kernel must return a fresh or in-place-updated tile of the same
@@ -88,109 +85,6 @@ func (m *Matrix) Transpose() *Matrix {
 		return dataflow.KV(Coord{I: b.Key.J, J: b.Key.I}, b.Value.Transpose())
 	})
 	return &Matrix{Rows: m.Cols, Cols: m.Rows, N: m.N, Tiles: tiles}
-}
-
-// Multiply computes A * B with the Section 5.3 translation: join the
-// tile datasets on the shared dimension k, multiply matching tiles
-// locally (partial products), and reduce partial products by
-// destination coordinate with tile addition via reduceByKey.
-func (a *Matrix) Multiply(b *Matrix) *Matrix {
-	if a.Cols != b.Rows || a.N != b.N {
-		panic("tiled: multiply shape mismatch")
-	}
-	parts := a.Tiles.NumPartitions()
-	left := dataflow.Map(a.Tiles, func(t Block) dataflow.Pair[int64, Block] {
-		return dataflow.KV(t.Key.J, t) // keyed by k = column coordinate
-	})
-	right := dataflow.Map(b.Tiles, func(t Block) dataflow.Pair[int64, Block] {
-		return dataflow.KV(t.Key.I, t) // keyed by k = row coordinate
-	})
-	ctx := a.Tiles.Context()
-	pool := ctx.TilePool()
-	joined := dataflow.Join(left, right, parts)
-	products := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[Block, Block]]) Block {
-		at, bt := p.Value.Left, p.Value.Right
-		sp := ctx.StartSpan("kernel: gemm-partial")
-		var start time.Time
-		if sp != nil {
-			start = time.Now()
-		}
-		c, hit := pool.TryGet(a.N, a.N)
-		linalg.GemmBudget(c, at.Value, bt.Value, ctx.KernelBudget())
-		if sp != nil {
-			sp.SetAttr("tile", fmt.Sprintf("(%d,%d)", at.Key.I, bt.Key.J))
-			sp.SetAttr("k", at.Key.J)
-			setKernelAttrs(sp, gemmFlops(a.N, 1), time.Since(start), hit)
-			sp.End()
-		}
-		return dataflow.KV(Coord{I: at.Key.I, J: bt.Key.J}, c)
-	})
-	// The combiner consumes its second argument exactly once (map-side
-	// combine and the one-time reduce fold), so the dead partial goes
-	// back to the pool; the accumulator escapes as the result tile.
-	reduced := dataflow.ReduceByKey(products, func(x, y *linalg.Dense) *linalg.Dense {
-		linalg.AddInPlace(x, y)
-		pool.Put(y)
-		return x
-	}, parts)
-	return &Matrix{Rows: a.Rows, Cols: b.Cols, N: a.N, Tiles: reduced}
-}
-
-// gemmFlops is the flop count of matches n×n tile multiplies.
-func gemmFlops(n int, matches int) float64 {
-	return 2 * float64(matches) * float64(n) * float64(n) * float64(n)
-}
-
-// setKernelAttrs records a kernel span's achieved GFLOP/s and whether
-// its output tile was served from the tile pool; sac -analyze and the
-// Perfetto export surface both per tile.
-func setKernelAttrs(sp *trace.Span, flops float64, elapsed time.Duration, poolHit bool) {
-	if s := elapsed.Seconds(); s > 0 {
-		sp.SetAttr("GFLOP/s", math.Round(flops/s/1e7)/100)
-	}
-	if poolHit {
-		sp.SetAttr("pool", "hit")
-	} else {
-		sp.SetAttr("pool", "miss")
-	}
-}
-
-// MultiplyGroupByKey is the unoptimized translation that uses
-// groupByKey instead of reduceByKey: all partial product tiles cross
-// the shuffle and are only summed on the reduce side. It exists to
-// measure the Rule 13 optimization (reduceByKey derivation).
-func (a *Matrix) MultiplyGroupByKey(b *Matrix) *Matrix {
-	if a.Cols != b.Rows || a.N != b.N {
-		panic("tiled: multiply shape mismatch")
-	}
-	parts := a.Tiles.NumPartitions()
-	left := dataflow.Map(a.Tiles, func(t Block) dataflow.Pair[int64, Block] {
-		return dataflow.KV(t.Key.J, t)
-	})
-	right := dataflow.Map(b.Tiles, func(t Block) dataflow.Pair[int64, Block] {
-		return dataflow.KV(t.Key.I, t)
-	})
-	ctx := a.Tiles.Context()
-	pool := ctx.TilePool()
-	joined := dataflow.Join(left, right, parts)
-	products := dataflow.Map(joined, func(p dataflow.Pair[int64, dataflow.JoinedPair[Block, Block]]) Block {
-		at, bt := p.Value.Left, p.Value.Right
-		c := pool.Get(a.N, a.N)
-		linalg.GemmBudget(c, at.Value, bt.Value, ctx.KernelBudget())
-		return dataflow.KV(Coord{I: at.Key.I, J: bt.Key.J}, c)
-	})
-	grouped := dataflow.GroupByKey(products, parts)
-	// The grouped tiles live in materialized shuffle buckets that are
-	// re-served to every later action, so they cannot be recycled here;
-	// only the accumulator comes from the pool.
-	summed := dataflow.Map(grouped, func(g dataflow.Pair[Coord, []*linalg.Dense]) Block {
-		acc := pool.Get(a.N, a.N)
-		for _, t := range g.Value {
-			linalg.AddInPlace(acc, t)
-		}
-		return dataflow.KV(g.Key, acc)
-	})
-	return &Matrix{Rows: a.Rows, Cols: b.Cols, N: a.N, Tiles: summed}
 }
 
 // Diagonal extracts the main diagonal as a tiled vector:
@@ -261,17 +155,17 @@ func (m *Matrix) FrobeniusNorm2() float64 {
 	return dataflow.Reduce(sums, func(a, b float64) float64 { return a + b })
 }
 
-// taggedTile is a tile replicated toward a destination coordinate
-// during a non-tiling-preserving regroup, remembering where it came
-// from.
-type taggedTile struct {
-	src  Coord
-	tile *linalg.Dense
+// TaggedTile is a tile replicated toward a destination coordinate by a
+// Rule 19 regroup (RotateRows and plan's affine replication),
+// remembering the coordinate it came from.
+type TaggedTile struct {
+	Src  Coord
+	Tile *linalg.Dense
 }
 
 // NumBytes reports the real payload (coordinate + tile data) so
 // replication shuffles are not floored at the opaque 16-byte default.
-func (t taggedTile) NumBytes() int64 { return 16 + t.tile.NumBytes() }
+func (t TaggedTile) NumBytes() int64 { return 16 + t.Tile.NumBytes() }
 
 // RotateRows implements the Section 5.2 example — a query that does
 // NOT preserve tiling: row i of the result is row (i+1) mod rows of
@@ -286,7 +180,7 @@ func (m *Matrix) RotateRows() *Matrix {
 
 	// Replicate each tile to the set I_f(K) of destination tile rows:
 	// { (i*N+_i+1) % rows / N | _i in [0,N) }.
-	replicated := dataflow.FlatMap(m.Tiles, func(b Block) []dataflow.Pair[Coord, taggedTile] {
+	replicated := dataflow.FlatMap(m.Tiles, func(b Block) []dataflow.Pair[Coord, TaggedTile] {
 		destRows := map[int64]bool{}
 		for i := int64(0); i < n64; i++ {
 			gi := b.Key.I*n64 + i
@@ -295,18 +189,18 @@ func (m *Matrix) RotateRows() *Matrix {
 			}
 			destRows[((gi+1)%rows)/n64] = true
 		}
-		out := make([]dataflow.Pair[Coord, taggedTile], 0, len(destRows))
+		out := make([]dataflow.Pair[Coord, TaggedTile], 0, len(destRows))
 		for dr := range destRows {
-			out = append(out, dataflow.KV(Coord{I: dr, J: b.Key.J}, taggedTile{src: b.Key, tile: b.Value}))
+			out = append(out, dataflow.KV(Coord{I: dr, J: b.Key.J}, TaggedTile{Src: b.Key, Tile: b.Value}))
 		}
 		return out
 	})
 	grouped := dataflow.GroupByKey(replicated, parts)
-	tiles := dataflow.Map(grouped, func(g dataflow.Pair[Coord, []taggedTile]) Block {
+	tiles := dataflow.Map(grouped, func(g dataflow.Pair[Coord, []TaggedTile]) Block {
 		out := linalg.NewDense(m.N, m.N)
 		for _, tt := range g.Value {
 			for i := 0; i < m.N; i++ {
-				gi := tt.src.I*n64 + int64(i)
+				gi := tt.Src.I*n64 + int64(i)
 				if gi >= rows {
 					break
 				}
@@ -316,7 +210,7 @@ func (m *Matrix) RotateRows() *Matrix {
 				}
 				li := int(di % n64)
 				for j := 0; j < m.N; j++ {
-					out.Set(li, j, tt.tile.At(i, j))
+					out.Set(li, j, tt.Tile.At(i, j))
 				}
 			}
 		}

@@ -77,14 +77,10 @@ func TestMultiplyMatchesDense(t *testing.T) {
 	a := FromDense(ctx, da, 2, 3)
 	b := FromDense(ctx, db, 2, 3)
 	want := linalg.Mul(da, db)
-	if got := a.Multiply(b).ToDense(); !got.EqualApprox(want, 1e-9) {
-		t.Fatalf("multiply mismatch: %g", got.MaxAbsDiff(want))
-	}
-	if got := a.MultiplyGBJ(b).ToDense(); !got.EqualApprox(want, 1e-9) {
-		t.Fatalf("GBJ multiply mismatch: %g", got.MaxAbsDiff(want))
-	}
-	if got := a.MultiplyGroupByKey(b).ToDense(); !got.EqualApprox(want, 1e-9) {
-		t.Fatalf("groupByKey multiply mismatch: %g", got.MaxAbsDiff(want))
+	for _, st := range contractStrategies {
+		if got := Contract(a, b, Contraction{Strategy: st.s}).ToDense(); !got.EqualApprox(want, 1e-9) {
+			t.Fatalf("%s multiply mismatch: %g", st.name, got.MaxAbsDiff(want))
+		}
 	}
 }
 
@@ -97,10 +93,10 @@ func TestMultiplyWithPadding(t *testing.T) {
 	a := FromDense(ctx, da, 4, 2)
 	b := FromDense(ctx, db, 4, 2)
 	want := linalg.Mul(da, db)
-	if got := a.Multiply(b).ToDense(); !got.EqualApprox(want, 1e-9) {
+	if got := Contract(a, b, Contraction{Strategy: ReduceByKey}).ToDense(); !got.EqualApprox(want, 1e-9) {
 		t.Fatal("padded multiply mismatch")
 	}
-	if got := a.MultiplyGBJ(b).ToDense(); !got.EqualApprox(want, 1e-9) {
+	if got := Contract(a, b, Contraction{}).ToDense(); !got.EqualApprox(want, 1e-9) {
 		t.Fatal("padded GBJ multiply mismatch")
 	}
 }
@@ -114,7 +110,7 @@ func TestMultiplyShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	a.Multiply(b)
+	Contract(a, b, Contraction{Strategy: ReduceByKey})
 }
 
 // Shuffle accounting behind Figure 4.B. Rule 13: reduceByKey's
@@ -133,17 +129,17 @@ func TestMultiplyShuffleAccounting(t *testing.T) {
 
 	a, b := mk()
 	ctx.ResetMetrics()
-	a.MultiplyGBJ(b).ToDense()
+	Contract(a, b, Contraction{}).ToDense()
 	gbjRecords := ctx.Metrics().ShuffledRecords
 
 	a, b = mk()
 	ctx.ResetMetrics()
-	a.Multiply(b).ToDense()
+	Contract(a, b, Contraction{Strategy: ReduceByKey}).ToDense()
 	rbk := ctx.Metrics().ShuffledBytes
 
 	a, b = mk()
 	ctx.ResetMetrics()
-	a.MultiplyGroupByKey(b).ToDense()
+	Contract(a, b, Contraction{Strategy: GroupByKey}).ToDense()
 	gbk := ctx.Metrics().ShuffledBytes
 
 	if rbk >= gbk {
@@ -231,7 +227,7 @@ func TestMultiplyTransVariants(t *testing.T) {
 	a := FromDense(ctx, da, 2, 2)
 	b := FromDense(ctx, db, 2, 2)
 	want := linalg.Mul(da.Transpose(), db)
-	if got := a.MultiplyTransAGBJ(b).ToDense(); !got.EqualApprox(want, 1e-9) {
+	if got := Contract(a, b, Contraction{TransA: true}).ToDense(); !got.EqualApprox(want, 1e-9) {
 		t.Fatalf("A^T*B mismatch: %g", got.MaxAbsDiff(want))
 	}
 
@@ -240,7 +236,7 @@ func TestMultiplyTransVariants(t *testing.T) {
 	c := FromDense(ctx, dc, 2, 2)
 	e := FromDense(ctx, dd, 2, 2)
 	want2 := linalg.Mul(dc, dd.Transpose())
-	if got := c.MultiplyTransBGBJ(e).ToDense(); !got.EqualApprox(want2, 1e-9) {
+	if got := Contract(c, e, Contraction{TransB: true}).ToDense(); !got.EqualApprox(want2, 1e-9) {
 		t.Fatalf("A*B^T mismatch: %g", got.MaxAbsDiff(want2))
 	}
 }
@@ -257,8 +253,8 @@ func TestQuickMultiplyStrategiesAgree(t *testing.T) {
 		a := FromDense(ctx, da, n, 2)
 		b := FromDense(ctx, db, n, 2)
 		want := linalg.Mul(da, db)
-		return a.Multiply(b).ToDense().EqualApprox(want, 1e-9) &&
-			a.MultiplyGBJ(b).ToDense().EqualApprox(want, 1e-9)
+		return Contract(a, b, Contraction{Strategy: ReduceByKey}).ToDense().EqualApprox(want, 1e-9) &&
+			Contract(a, b, Contraction{}).ToDense().EqualApprox(want, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -289,8 +285,9 @@ func TestMultiplyWithFailures(t *testing.T) {
 	faulty := dataflow.NewContext(dataflow.Config{FailureRate: 0.2, FailureSeed: 5, MaxTaskRetries: 60})
 	da := linalg.RandDense(8, 8, 0, 1, 23)
 	db := linalg.RandDense(8, 8, 0, 1, 24)
-	want := FromDense(clean, da, 2, 3).Multiply(FromDense(clean, db, 2, 3)).ToDense()
-	got := FromDense(faulty, da, 2, 3).Multiply(FromDense(faulty, db, 2, 3)).ToDense()
+	rbk := Contraction{Strategy: ReduceByKey}
+	want := Contract(FromDense(clean, da, 2, 3), FromDense(clean, db, 2, 3), rbk).ToDense()
+	got := Contract(FromDense(faulty, da, 2, 3), FromDense(faulty, db, 2, 3), rbk).ToDense()
 	if !got.EqualApprox(want, 1e-9) {
 		t.Fatal("failure injection changed the result")
 	}
